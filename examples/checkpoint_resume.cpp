@@ -4,13 +4,14 @@
 //
 //   ./examples/checkpoint_resume [--bits 512] [--rounds 40]
 //
-// Uses the deterministic SyncAbsRunner so the printout is reproducible.
+// Uses AbsSolver's deterministic step mode (run_rounds) so the printout is
+// reproducible.
 #include <cinttypes>
 #include <cstdio>
 #include <memory>
 #include <string>
 
-#include "abs/sync_runner.hpp"
+#include "abs/solver.hpp"
 #include "ga/pool_io.hpp"
 #include "problems/random.hpp"
 #include "util/cli.hpp"
@@ -29,6 +30,7 @@ int main(int argc, char** argv) {
 
   absq::AbsConfig config;
   config.device.block_limit = 8;
+  config.device.threads_per_device = 1;  // step mode needs an explicit count
   config.pool_capacity = 32;
   config.seed = seed;
 
@@ -36,7 +38,7 @@ int main(int argc, char** argv) {
   const std::string checkpoint = "/tmp/absq_checkpoint.pool";
   absq::Energy phase1_best = 0;
   {
-    absq::SyncAbsRunner runner(w, config);
+    absq::AbsSolver runner(w, config);
     const absq::AbsResult result = runner.run_rounds(rounds);
     phase1_best = result.best_energy;
     absq::write_pool_file(checkpoint, runner.pool());
@@ -48,14 +50,14 @@ int main(int argc, char** argv) {
   // Phase 2a: cold restart (fresh random pool), same budget.
   absq::AbsConfig cold = config;
   cold.seed = seed + 1;
-  absq::SyncAbsRunner cold_runner(w, cold);
+  absq::AbsSolver cold_runner(w, cold);
   const absq::Energy cold_best = cold_runner.run_rounds(rounds).best_energy;
 
   // Phase 2b: warm restart from the checkpoint, same budget and seed.
   absq::AbsConfig warm = cold;
   warm.warm_start = std::make_shared<absq::SolutionPool>(
       absq::read_pool_file(checkpoint));
-  absq::SyncAbsRunner warm_runner(w, warm);
+  absq::AbsSolver warm_runner(w, warm);
   const absq::Energy warm_best = warm_runner.run_rounds(rounds).best_energy;
 
   std::printf("phase 2 (cold restart): best %" PRId64 "\n", cold_best);

@@ -3,7 +3,8 @@
 #
 #   1. tier-1: configure + build everything, run the full ctest suite
 #      (includes the tools_smoke, crash_smoke, serve_smoke and chaos_smoke
-#      end-to-end scripts);
+#      end-to-end scripts) twice — pinned to one core (taskset -c 0) and on
+#      all cores — so no result may depend on the host's core count;
 #   2. race check: rebuild the concurrency-sensitive tests under
 #      ThreadSanitizer (cmake -DABSQ_SANITIZE=thread) and run them —
 #      the observability layer's lock-free counters and ring tracer,
@@ -32,6 +33,9 @@ CHAOS_TOOLS=(absq_gen absq_serve absq_client)
 echo "== tier 1: build + ctest =="
 cmake -B build -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build -j "$JOBS"
+echo "-- ctest pinned to one core"
+taskset -c 0 ctest --test-dir build --output-on-failure -j "$JOBS"
+echo "-- ctest on all cores"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
 echo

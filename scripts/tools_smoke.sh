@@ -27,6 +27,12 @@ if "$BIN/tools/absq_info" "$WORK/r.qubo" --verify "$WORK/bad.sol" \
   fail "tampered solution passed verification"
 fi
 
+# A worker count of 0 is rejected (-1 = auto, otherwise >= 1).
+if "$BIN/tools/absq_solve" "$WORK/r.qubo" --seconds 0.1 --threads 0 \
+    > /dev/null 2>&1; then
+  fail "absq_solve accepted --threads 0"
+fi
+
 # --- gset / Max-Cut ---------------------------------------------------------
 "$BIN/tools/absq_gen" maxcut --vertices 60 --edges 300 --weights pm1 \
   --seed 3 --out "$WORK/g.gset"

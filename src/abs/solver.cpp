@@ -9,6 +9,7 @@
 #include "obs/log.hpp"
 #include "util/check.hpp"
 #include "util/stopwatch.hpp"
+#include "util/thread_pool.hpp"
 
 namespace absq {
 namespace {
@@ -22,6 +23,39 @@ std::string describe(const std::exception_ptr& failure) {
   } catch (...) {
     return "unknown exception";
   }
+}
+
+/// The host population: one pool per island, island 0 on the base GA
+/// operators and the root RNG stream.
+portfolio::IslandSet::Config island_config(const AbsConfig& config) {
+  portfolio::IslandSet::Config island;
+  island.islands = config.portfolio.islands;
+  island.pool_capacity = config.pool_capacity;
+  island.ga = config.ga;
+  island.diversify_ga = config.portfolio.diversify_ga;
+  island.migration_interval =
+      config.portfolio.islands > 1
+          ? config.portfolio.effective_migration_interval()
+          : 0;
+  island.migration_k = config.portfolio.migration_k;
+  island.seed = config.seed;
+  island.telemetry = config.telemetry;
+  return island;
+}
+
+portfolio::AdaptiveController::Config controller_config(
+    const AbsConfig& config) {
+  portfolio::AdaptiveController::Config controller;
+  controller.islands = config.portfolio.islands;
+  controller.algorithms = config.portfolio.algorithm_list();
+  controller.enabled = config.portfolio.controller;
+  controller.credit_decay = config.portfolio.credit_decay;
+  controller.softmax_temperature = config.portfolio.softmax_temperature;
+  controller.exploration_floor = config.portfolio.exploration_floor;
+  controller.realloc_interval = config.portfolio.realloc_interval;
+  controller.seed = config.seed;
+  controller.telemetry = config.telemetry;
+  return controller;
 }
 
 }  // namespace
@@ -38,43 +72,9 @@ const char* to_string(DeviceHealth health) {
 AbsSolver::AbsSolver(const WeightMatrix& w, AbsConfig config)
     : w_(&w),
       config_(std::move(config)),
-      pool_(config_.pool_capacity),
-      rng_(config_.seed) {
+      islands_(island_config(config_)),
+      controller_(controller_config(config_)) {
   ABSQ_CHECK(config_.num_devices >= 1, "need at least one device");
-
-  // Diverse ABS: build the island pools and the (island, algorithm)
-  // controller before the devices, so the initial block striping can be
-  // baked into every device's algorithm schedule.
-  diverse_ = config_.portfolio.diverse();
-  if (diverse_) {
-    portfolio::IslandSet::Config island_config;
-    island_config.islands = config_.portfolio.islands;
-    island_config.pool_capacity = config_.pool_capacity;
-    island_config.ga = config_.ga;
-    island_config.diversify_ga = config_.portfolio.diversify_ga;
-    island_config.migration_interval =
-        config_.portfolio.islands > 1
-            ? config_.portfolio.effective_migration_interval()
-            : 0;
-    island_config.migration_k = config_.portfolio.migration_k;
-    island_config.seed = config_.seed;
-    island_config.telemetry = config_.telemetry;
-    islands_ = std::make_unique<portfolio::IslandSet>(island_config);
-
-    portfolio::AdaptiveController::Config controller_config;
-    controller_config.islands = config_.portfolio.islands;
-    controller_config.algorithms = config_.portfolio.algorithm_list();
-    controller_config.enabled = config_.portfolio.controller;
-    controller_config.credit_decay = config_.portfolio.credit_decay;
-    controller_config.softmax_temperature =
-        config_.portfolio.softmax_temperature;
-    controller_config.exploration_floor = config_.portfolio.exploration_floor;
-    controller_config.realloc_interval = config_.portfolio.realloc_interval;
-    controller_config.seed = config_.seed;
-    controller_config.telemetry = config_.telemetry;
-    controller_ =
-        std::make_unique<portfolio::AdaptiveController>(controller_config);
-  }
 
   devices_.resize(config_.num_devices);
   for (std::uint32_t d = 0; d < config_.num_devices; ++d) {
@@ -85,25 +85,21 @@ AbsSolver::AbsSolver(const WeightMatrix& w, AbsConfig config)
     slot.config.telemetry = config_.telemetry;
     if (!slot.config.threads_per_device.has_value()) {
       // Auto: split the host's cores across the simulated devices.
-      slot.config.threads_per_device = std::max(
-          1u, std::thread::hardware_concurrency() / config_.num_devices);
+      slot.config.threads_per_device =
+          std::max(1u, available_cpus() / config_.num_devices);
     }
-    if (diverse_) {
-      // Stripe the arms across blocks so block b of device d starts on arm
-      // (d + b) % num_arms — exactly the assignment register_block records.
-      const std::uint32_t num_arms = controller_->num_arms();
-      slot.config.algorithm_schedule.resize(num_arms);
-      for (std::uint32_t j = 0; j < num_arms; ++j) {
-        slot.config.algorithm_schedule[j] =
-            controller_->arm((d + j) % num_arms).algorithm;
-      }
-      slot.config.algorithm_options = config_.portfolio.options;
+    // Stripe the arms across blocks so block b of device d starts on arm
+    // (d + b) % num_arms — exactly the assignment register_block records.
+    const std::uint32_t num_arms = controller_.num_arms();
+    slot.config.algorithm_schedule.resize(num_arms);
+    for (std::uint32_t j = 0; j < num_arms; ++j) {
+      slot.config.algorithm_schedule[j] =
+          controller_.arm((d + j) % num_arms).algorithm;
     }
+    slot.config.algorithm_options = config_.portfolio.options;
     slot.device = make_device(d, /*incarnation=*/0);
-    if (diverse_) {
-      for (std::uint32_t b = 0; b < slot.device->block_count(); ++b) {
-        (void)controller_->register_block(d, b);
-      }
+    for (std::uint32_t b = 0; b < slot.device->block_count(); ++b) {
+      (void)controller_.register_block(d, b);
     }
   }
 
@@ -181,48 +177,37 @@ void AbsSolver::retire_device_counters(DeviceSlot& slot) {
   slot.retired_algorithm_switches += slot.device->total_algorithm_switches();
 }
 
-Energy AbsSolver::current_best_energy() const {
-  return diverse_ ? islands_->best_energy() : pool_.best_energy();
-}
-
-std::size_t AbsSolver::current_evaluated() const {
-  return diverse_ ? islands_->evaluated_count() : pool_.evaluated_count();
-}
-
-const SolutionPool::Entry& AbsSolver::current_best() const {
-  return diverse_ ? islands_->best() : pool_.best();
+std::uint32_t AbsSolver::island_of(std::uint32_t device,
+                                   std::uint32_t block) const {
+  return controller_.arm(controller_.arm_of(device, block)).island;
 }
 
 bool AbsSolver::insert_report(std::uint32_t device, std::uint32_t block,
                               const BitVector& bits, Energy energy) {
-  if (!diverse_) return pool_.insert(bits, energy);
-  const std::uint32_t arm = controller_->arm_of(device, block);
+  const std::uint32_t arm = controller_.arm_of(device, block);
   const bool inserted =
-      islands_->insert(controller_->arm(arm).island, bits, energy);
-  if (inserted) controller_->credit_insert(arm);
+      islands_.insert(controller_.arm(arm).island, bits, energy);
+  if (inserted) controller_.credit_insert(arm);
   return inserted;
 }
 
 const BitVector& AbsSolver::stock_target(std::uint32_t device,
                                          std::uint32_t block) {
-  if (!diverse_) {
-    // With a warm start its entries (sorted best-first) go out first.
-    const std::size_t index =
-        config_.warm_start != nullptr && block < pool_.size()
-            ? block
-            : rng_.below(pool_.size());
-    return pool_.entry(index).bits;
+  const std::uint32_t island = island_of(device, block);
+  const SolutionPool& pool = islands_.pool(island);
+  if (config_.warm_start != nullptr && block < pool.size()) {
+    return pool.entry(block).bits;
   }
-  const std::uint32_t arm = controller_->arm_of(device, block);
-  return islands_->random_member(controller_->arm(arm).island);
+  return islands_.random_member(island);
 }
 
 SolutionPool AbsSolver::merged_pool() const {
+  if (islands_.count() == 1) return islands_.pool(0);
   // Best-first across all islands; duplicates collapse on insert, so the
-  // checkpoint (and the final result pool view) is a classic single pool.
+  // checkpoint is a single pool a resume can warm-start from.
   SolutionPool merged(config_.pool_capacity);
-  for (std::uint32_t i = 0; i < islands_->count(); ++i) {
-    const SolutionPool& pool = islands_->pool(i);
+  for (std::uint32_t i = 0; i < islands_.count(); ++i) {
+    const SolutionPool& pool = islands_.pool(i);
     for (std::size_t rank = 0; rank < pool.size(); ++rank) {
       const SolutionPool::Entry& entry = pool.entry(rank);
       if (entry.energy == kUnevaluated) break;  // sorted: rest unevaluated
@@ -235,13 +220,11 @@ SolutionPool AbsSolver::merged_pool() const {
 void AbsSolver::reapply_algorithms(std::size_t slot_index) {
   // A rebuilt device incarnation starts on the *initial* striping baked
   // into its config; replay the controller's current assignments on top.
-  if (!diverse_) return;
   DeviceSlot& slot = devices_[slot_index];
   for (std::uint32_t b = 0; b < slot.device->block_count(); ++b) {
     const std::uint32_t arm =
-        controller_->arm_of(static_cast<std::uint32_t>(slot_index), b);
-    slot.device->request_block_algorithm(b,
-                                         controller_->arm(arm).algorithm);
+        controller_.arm_of(static_cast<std::uint32_t>(slot_index), b);
+    slot.device->request_block_algorithm(b, controller_.arm(arm).algorithm);
   }
 }
 
@@ -255,19 +238,16 @@ std::uint64_t AbsSolver::flips_across_devices() const {
 
 void AbsSolver::sync_pool_metrics() {
   if (m_reports_inserted_ == nullptr) return;
-  std::uint64_t insertions = pool_.insertions();
-  std::uint64_t duplicates = pool_.duplicates_rejected();
-  std::uint64_t evictions = pool_.evictions();
-  if (diverse_) {
-    insertions = duplicates = evictions = 0;
-    for (std::uint32_t i = 0; i < islands_->count(); ++i) {
-      const SolutionPool& pool = islands_->pool(i);
-      insertions += pool.insertions();
-      duplicates += pool.duplicates_rejected();
-      evictions += pool.evictions();
-    }
-    islands_->sync_metrics();
+  std::uint64_t insertions = 0;
+  std::uint64_t duplicates = 0;
+  std::uint64_t evictions = 0;
+  for (std::uint32_t i = 0; i < islands_.count(); ++i) {
+    const SolutionPool& pool = islands_.pool(i);
+    insertions += pool.insertions();
+    duplicates += pool.duplicates_rejected();
+    evictions += pool.evictions();
   }
+  islands_.sync_metrics();
   m_reports_inserted_->add(insertions - synced_inserted_);
   m_duplicates_->add(duplicates - synced_duplicates_);
   m_evictions_->add(evictions - synced_evictions_);
@@ -288,11 +268,11 @@ void AbsSolver::sync_pool_metrics() {
   m_solutions_dropped_->add(solutions_dropped - synced_solutions_dropped_);
   synced_targets_dropped_ = targets_dropped;
   synced_solutions_dropped_ = solutions_dropped;
-  const Energy best = current_best_energy();
+  const Energy best = islands_.best_energy();
   if (best != kUnevaluated) {
     m_pool_best_energy_->set(static_cast<double>(best));
   }
-  m_pool_evaluated_->set(static_cast<double>(current_evaluated()));
+  m_pool_evaluated_->set(static_cast<double>(islands_.evaluated_count()));
 }
 
 void AbsSolver::salvage_drain(DeviceSlot& slot, AbsResult& result,
@@ -398,9 +378,8 @@ void AbsSolver::poll_device_health(AbsResult& result, double now) {
       reapply_algorithms(d);
       slot.device->start();
       for (std::uint32_t b = 0; b < slot.device->block_count(); ++b) {
-        slot.device->targets().push(
-            diverse_ ? stock_target(static_cast<std::uint32_t>(d), b)
-                     : pool_.entry(rng_.below(pool_.size())).bits);
+        slot.device->targets().push(islands_.random_member(
+            island_of(static_cast<std::uint32_t>(d), b)));
         ++result.targets_generated;
       }
       obs::add(m_targets_generated_, slot.device->block_count());
@@ -435,11 +414,9 @@ void AbsSolver::write_run_checkpoint(AbsResult& result, double now) {
     checkpoint.device_flips.push_back(slot.retired_flips +
                                       slot.device->total_flips());
   }
-  // Diverse runs checkpoint the merged best-first view of all islands, so
-  // a resume (or a downgraded config) can warm-start a classic pool.
-  checkpoint.pool = diverse_
-                        ? std::make_shared<const SolutionPool>(merged_pool())
-                        : std::make_shared<const SolutionPool>(pool_);
+  // The merged best-first view of all islands, so a resume (or a
+  // downgraded config) can warm-start a single pool.
+  checkpoint.pool = std::make_shared<const SolutionPool>(merged_pool());
   try {
     write_checkpoint_file(config_.checkpoint_path, checkpoint);
     ++result.checkpoints_written;
@@ -464,16 +441,7 @@ void AbsSolver::write_run_checkpoint(AbsResult& result, double now) {
   }
 }
 
-AbsResult AbsSolver::run(const StopCriteria& stop) {
-  ABSQ_CHECK(stop.bounded(),
-             "at least one stop criterion must be set or the run never ends");
-
-  AbsResult result;
-  const std::uint64_t flips_at_start = flips_across_devices();
-
-  const std::uint64_t reassignments_at_start =
-      diverse_ ? controller_->reassignments() : 0;
-
+void AbsSolver::begin_run(AbsResult& result) {
   // Revive slots left unhealthy by a previous run: the device object may
   // hold dead workers, so it is rebuilt from the weight matrix.
   for (std::size_t d = 0; d < devices_.size(); ++d) {
@@ -493,43 +461,206 @@ AbsResult AbsSolver::run(const StopCriteria& stop) {
     }
   }
 
-  // Host Step 1: random pool(s), energies unknown; stock the target buffers
+  // Host Step 1: random pools, energies unknown; stock the target buffers
   // with the random population so every block starts on GA-chosen ground.
-  if (diverse_) {
-    islands_->initialize_random(w_->size());
-  } else {
-    pool_.initialize_random(w_->size(), rng_);
-  }
+  islands_.initialize_random(w_->size());
   synced_inserted_ = 0;
   synced_duplicates_ = 0;
   synced_evictions_ = 0;
-  obs::EventTracer* const tracer = config_.telemetry.tracer;
   if (config_.warm_start != nullptr) {
     for (std::size_t i = 0; i < config_.warm_start->size(); ++i) {
       const auto& entry = config_.warm_start->entry(i);
       ABSQ_CHECK(entry.bits.size() == w_->size(),
                  "warm-start pool is for a different instance size");
-      if (diverse_) {
-        // Round-robin so every island shares the resumed elite.
-        (void)islands_->insert(static_cast<std::uint32_t>(
-                                   i % islands_->count()),
-                               entry.bits, entry.energy);
-      } else {
-        (void)pool_.insert(entry.bits, entry.energy);
-      }
+      // Round-robin so every island shares the resumed elite.
+      (void)islands_.insert(static_cast<std::uint32_t>(i % islands_.count()),
+                            entry.bits, entry.energy);
     }
   }
   for (auto& slot : devices_) {
     Device& device = *slot.device;
     // One target per resident block; blocks without a target continue from
-    // their current solution, so underfill is benign. With a warm start,
-    // its entries (sorted best-first in the pool) go out first.
+    // their current solution, so underfill is benign.
     for (std::uint32_t b = 0; b < device.block_count(); ++b) {
       result.targets_generated += 1;
       device.targets().push(stock_target(slot.config.device_id, b));
     }
     obs::add(m_targets_generated_, device.block_count());
   }
+}
+
+void AbsSolver::host_round(std::size_t d, AbsResult& result, double now) {
+  DeviceSlot& slot = devices_[d];
+  const std::uint32_t device_id = slot.config.device_id;
+  obs::EventTracer* const tracer = config_.telemetry.tracer;
+  obs::TraceSpan round_span(tracer, "ga_round", "host",
+                            config_.telemetry.pid_base,
+                            /*tid=*/static_cast<std::uint32_t>(d));
+
+  // Host Step 3: insert arrivals into their arms' island pools.
+  auto arrivals = slot.device->solutions().drain();
+  round_span.set_arg("arrivals", static_cast<std::int64_t>(arrivals.size()));
+  obs::add(m_reports_received_, arrivals.size());
+  for (auto& report : arrivals) {
+    ++result.reports_received;
+    const Energy energy = report.energy;
+    if (insert_report(device_id, report.block_id, report.bits, energy)) {
+      ++result.reports_inserted;
+      if (result.best_trace.empty() ||
+          energy < result.best_trace.back().second) {
+        result.best_trace.emplace_back(now, energy);
+        obs::add(m_improvements_);
+        // The incumbent moved: weight this arm's credit heavily.
+        controller_.credit_improvement(
+            controller_.arm_of(device_id, report.block_id));
+        if (tracer != nullptr) {
+          tracer->instant("incumbent", "host", config_.telemetry.pid_base,
+                          /*tid=*/static_cast<std::uint32_t>(d), "energy",
+                          energy);
+        }
+      }
+    }
+  }
+
+  // Host Step 4: breed as many fresh targets as solutions arrived, each
+  // from the island of the arriving report's arm, with that island's own
+  // operators and stream.
+  for (const auto& report : arrivals) {
+    slot.device->targets().push(
+        islands_.breed(island_of(device_id, report.block_id)));
+    ++result.targets_generated;
+  }
+  obs::add(m_targets_generated_, arrivals.size());
+  if (tracer != nullptr && !arrivals.empty()) {
+    tracer->instant("target_push", "host", config_.telemetry.pid_base,
+                    /*tid=*/static_cast<std::uint32_t>(d), "targets",
+                    static_cast<std::int64_t>(arrivals.size()));
+  }
+  sync_pool_metrics();
+
+  // The round clock: one drained device = one GA round. The island ring
+  // migrates and the controller reallocates on their own cadences over it.
+  (void)islands_.note_round();
+  (void)controller_.note_round(
+      [this](std::uint32_t device, std::uint32_t block, std::uint32_t arm) {
+        DeviceSlot& target_slot = devices_[device];
+        if (target_slot.health == DeviceHealth::kHealthy) {
+          target_slot.device->request_block_algorithm(
+              block, controller_.arm(arm).algorithm);
+        }
+      });
+}
+
+void AbsSolver::finish_run(AbsResult& result, std::uint64_t flips_at_start,
+                           std::uint64_t reassignments_at_start,
+                           const std::optional<Energy>& target) {
+  // Final drain so reports in flight at stop time are not lost.
+  for (auto& slot : devices_) {
+    for (auto& report : slot.device->solutions().drain()) {
+      ++result.reports_received;
+      obs::add(m_reports_received_);
+      if (insert_report(slot.config.device_id, report.block_id, report.bits,
+                        report.energy)) {
+        ++result.reports_inserted;
+      }
+    }
+    result.solutions_dropped += slot.retired_solutions_dropped +
+                                slot.device->solutions().dropped();
+    result.targets_dropped +=
+        slot.retired_targets_dropped + slot.device->targets().dropped();
+  }
+  sync_pool_metrics();
+  for (std::uint32_t i = 0; i < islands_.count(); ++i) {
+    result.duplicates_rejected += islands_.pool(i).duplicates_rejected();
+    result.pool_evictions += islands_.pool(i).evictions();
+  }
+  if (target.has_value() && islands_.best_energy() <= *target) {
+    result.reached_target = true;
+  }
+
+  if (islands_.evaluated_count() == 0) {
+    // Nothing was ever reported. If that is because every device died,
+    // surface the original fault rather than a misleading configuration
+    // hint.
+    for (const auto& slot : devices_) {
+      if (slot.health == DeviceHealth::kFailed) {
+        if (std::exception_ptr failure = slot.device->failure();
+            failure != nullptr) {
+          std::rethrow_exception(failure);
+        }
+        ABSQ_CHECK(false, "all devices failed before any report: "
+                              << slot.failure);
+      }
+    }
+  }
+  ABSQ_CHECK(islands_.evaluated_count() > 0,
+             "run ended before any device reported — raise the time limit");
+  for (auto& slot : devices_) {
+    Device& device = *slot.device;
+    DeviceSummary summary;
+    summary.device_id = slot.config.device_id;
+    summary.workers = device.worker_count();
+    summary.flips = slot.retired_flips + device.total_flips();
+    summary.iterations = slot.retired_iterations + device.total_iterations();
+    summary.reports = slot.retired_reports + device.solutions().counter();
+    summary.target_misses =
+        slot.retired_target_misses + device.target_misses();
+    summary.targets_dropped =
+        slot.retired_targets_dropped + device.targets().dropped();
+    summary.solutions_dropped =
+        slot.retired_solutions_dropped + device.solutions().dropped();
+    summary.algorithm_switches =
+        slot.retired_algorithm_switches + device.total_algorithm_switches();
+    summary.health = slot.health;
+    summary.restarts = slot.restarts;
+    summary.failure = slot.failure;
+    if (slot.health != DeviceHealth::kHealthy) {
+      result.failed_devices.push_back(slot.config.device_id);
+    }
+    result.devices.push_back(summary);
+  }
+  result.migrations = islands_.migrations();
+  result.migration_events = islands_.migration_events();
+  result.controller_reassignments =
+      controller_.reassignments() - reassignments_at_start;
+  result.islands.reserve(islands_.count());
+  for (std::uint32_t i = 0; i < islands_.count(); ++i) {
+    IslandSummary summary;
+    summary.island_id = i;
+    summary.best_energy = islands_.pool(i).best_energy();
+    summary.pool_evaluated = islands_.pool(i).evaluated_count();
+    summary.inserts = islands_.inserts(i);
+    for (const auto& event : islands_.migration_log()) {
+      if (event.to == i) ++summary.migrations_in;
+    }
+    summary.blocks = controller_.blocks_on_island(i);
+    result.islands.push_back(summary);
+  }
+  result.best = islands_.best().bits;
+  result.best_energy = islands_.best().energy;
+  result.total_flips = flips_across_devices() - flips_at_start;
+  result.evaluated_solutions = result.total_flips * w_->size();
+  result.search_rate = result.seconds > 0.0
+                           ? static_cast<double>(result.evaluated_solutions) /
+                                 result.seconds
+                           : 0.0;
+
+  // Graceful-shutdown checkpoint: a cancelled (SIGINT) or completed run
+  // leaves a resumable snapshot behind.
+  if (!config_.checkpoint_path.empty()) {
+    write_run_checkpoint(result, result.seconds);
+  }
+}
+
+AbsResult AbsSolver::run(const StopCriteria& stop) {
+  ABSQ_CHECK(stop.bounded(),
+             "at least one stop criterion must be set or the run never ends");
+
+  AbsResult result;
+  const std::uint64_t flips_at_start = flips_across_devices();
+  const std::uint64_t reassignments_at_start = controller_.reassignments();
+  begin_run(result);
+  obs::EventTracer* const tracer = config_.telemetry.tracer;
 
   Stopwatch watch;
   for (auto& slot : devices_) {
@@ -557,80 +688,7 @@ AbsResult AbsSolver::run(const StopCriteria& stop) {
       if (counter == slot.seen_counter) continue;
       slot.seen_counter = counter;
       any_news = true;
-
-      // One GA round for device d: drain, insert, breed replacements.
-      obs::TraceSpan round_span(tracer, "ga_round", "host",
-                                config_.telemetry.pid_base,
-                                /*tid=*/static_cast<std::uint32_t>(d));
-
-      // Host Step 3: insert arrivals into the pool.
-      auto arrivals = slot.device->solutions().drain();
-      round_span.set_arg("arrivals",
-                         static_cast<std::int64_t>(arrivals.size()));
-      obs::add(m_reports_received_, arrivals.size());
-      for (auto& report : arrivals) {
-        ++result.reports_received;
-        const Energy energy = report.energy;
-        if (insert_report(slot.config.device_id, report.block_id,
-                          report.bits, energy)) {
-          ++result.reports_inserted;
-          if (result.best_trace.empty() ||
-              energy < result.best_trace.back().second) {
-            result.best_trace.emplace_back(watch.seconds(), energy);
-            obs::add(m_improvements_);
-            if (diverse_) {
-              // The incumbent moved: weight this arm's credit heavily.
-              controller_->credit_improvement(
-                  controller_->arm_of(slot.config.device_id,
-                                      report.block_id));
-            }
-            if (tracer != nullptr) {
-              tracer->instant("incumbent", "host", config_.telemetry.pid_base,
-                              /*tid=*/static_cast<std::uint32_t>(d), "energy",
-                              energy);
-            }
-          }
-        }
-      }
-
-      // Host Step 4: breed as many fresh targets as solutions arrived. In
-      // diverse mode each replacement is bred from the island of the
-      // arriving report's arm, with that island's own operators and stream.
-      for (std::size_t i = 0; i < arrivals.size(); ++i) {
-        if (diverse_) {
-          const std::uint32_t arm = controller_->arm_of(
-              slot.config.device_id, arrivals[i].block_id);
-          slot.device->targets().push(
-              islands_->breed(controller_->arm(arm).island));
-        } else {
-          slot.device->targets().push(
-              generate_target(pool_, config_.ga, rng_));
-        }
-        ++result.targets_generated;
-      }
-      obs::add(m_targets_generated_, arrivals.size());
-      if (tracer != nullptr && !arrivals.empty()) {
-        tracer->instant("target_push", "host", config_.telemetry.pid_base,
-                        /*tid=*/static_cast<std::uint32_t>(d), "targets",
-                        static_cast<std::int64_t>(arrivals.size()));
-      }
-      sync_pool_metrics();
-
-      // Diverse-ABS round clock: one drained device = one GA round. The
-      // island ring migrates and the controller reallocates on their own
-      // cadences over this clock.
-      if (diverse_) {
-        (void)islands_->note_round();
-        (void)controller_->note_round(
-            [this](std::uint32_t device, std::uint32_t block,
-                   std::uint32_t arm) {
-              DeviceSlot& target_slot = devices_[device];
-              if (target_slot.health == DeviceHealth::kHealthy) {
-                target_slot.device->request_block_algorithm(
-                    block, controller_->arm(arm).algorithm);
-              }
-            });
-      }
+      host_round(d, result, watch.seconds());
     }
 
     // Watchdog: failure capture, stall detection, bounded restarts.
@@ -643,8 +701,8 @@ AbsResult AbsSolver::run(const StopCriteria& stop) {
         const std::uint64_t flips = flips_across_devices() - flips_at_start;
         RunSnapshot snapshot;
         snapshot.seconds = now;
-        snapshot.best_energy = current_best_energy();
-        snapshot.pool_evaluated = current_evaluated();
+        snapshot.best_energy = islands_.best_energy();
+        snapshot.pool_evaluated = islands_.evaluated_count();
         snapshot.total_flips = flips;
         // An empty observation window (first snapshot of a continuation,
         // or a poll racing the grid) yields NaN, not a nonsense rate.
@@ -687,7 +745,7 @@ AbsResult AbsSolver::run(const StopCriteria& stop) {
       done = true;
     }
     if (stop.target_energy.has_value() &&
-        current_best_energy() <= *stop.target_energy) {
+        islands_.best_energy() <= *stop.target_energy) {
       result.reached_target = true;
       done = true;
     }
@@ -721,109 +779,34 @@ AbsResult AbsSolver::run(const StopCriteria& stop) {
 
   for (auto& slot : devices_) slot.device->stop();
   result.seconds = watch.seconds();
+  finish_run(result, flips_at_start, reassignments_at_start,
+             stop.target_energy);
+  return result;
+}
 
-  // Final drain so reports in flight at stop time are not lost.
-  for (auto& slot : devices_) {
-    for (auto& report : slot.device->solutions().drain()) {
-      ++result.reports_received;
-      obs::add(m_reports_received_);
-      if (insert_report(slot.config.device_id, report.block_id, report.bits,
-                        report.energy)) {
-        ++result.reports_inserted;
-      }
-    }
-    result.solutions_dropped += slot.retired_solutions_dropped +
-                                slot.device->solutions().dropped();
-    result.targets_dropped +=
-        slot.retired_targets_dropped + slot.device->targets().dropped();
-  }
-  sync_pool_metrics();
-  if (diverse_) {
-    for (std::uint32_t i = 0; i < islands_->count(); ++i) {
-      result.duplicates_rejected += islands_->pool(i).duplicates_rejected();
-      result.pool_evictions += islands_->pool(i).evictions();
-    }
-  } else {
-    result.duplicates_rejected = pool_.duplicates_rejected();
-    result.pool_evictions = pool_.evictions();
-  }
-  if (stop.target_energy.has_value() &&
-      current_best_energy() <= *stop.target_energy) {
-    result.reached_target = true;
-  }
+AbsResult AbsSolver::run_rounds(std::uint64_t rounds,
+                                std::optional<Energy> target) {
+  ABSQ_CHECK(rounds >= 1, "run_rounds needs at least one round");
+  ABSQ_CHECK(config_.device.threads_per_device.has_value(),
+             "step mode needs an explicit threads_per_device: the worker "
+             "count fixes the mailbox sharding, and auto depends on the host");
 
-  if (current_evaluated() == 0) {
-    // Nothing was ever reported. If that is because every device died,
-    // surface the original fault rather than a misleading configuration
-    // hint.
-    for (const auto& slot : devices_) {
-      if (slot.health == DeviceHealth::kFailed) {
-        if (std::exception_ptr failure = slot.device->failure();
-            failure != nullptr) {
-          std::rethrow_exception(failure);
-        }
-        ABSQ_CHECK(false, "all devices failed before any report: "
-                              << slot.failure);
-      }
-    }
-  }
-  ABSQ_CHECK(current_evaluated() > 0,
-             "run ended before any device reported — raise the time limit");
-  for (auto& slot : devices_) {
-    Device& device = *slot.device;
-    DeviceSummary summary;
-    summary.device_id = slot.config.device_id;
-    summary.workers = device.worker_count();
-    summary.flips = slot.retired_flips + device.total_flips();
-    summary.iterations = slot.retired_iterations + device.total_iterations();
-    summary.reports = slot.retired_reports + device.solutions().counter();
-    summary.target_misses =
-        slot.retired_target_misses + device.target_misses();
-    summary.targets_dropped =
-        slot.retired_targets_dropped + device.targets().dropped();
-    summary.solutions_dropped =
-        slot.retired_solutions_dropped + device.solutions().dropped();
-    summary.algorithm_switches =
-        slot.retired_algorithm_switches + device.total_algorithm_switches();
-    summary.health = slot.health;
-    summary.restarts = slot.restarts;
-    summary.failure = slot.failure;
-    if (slot.health != DeviceHealth::kHealthy) {
-      result.failed_devices.push_back(slot.config.device_id);
-    }
-    result.devices.push_back(summary);
-  }
-  if (diverse_) {
-    result.migrations = islands_->migrations();
-    result.migration_events = islands_->migration_events();
-    result.controller_reassignments =
-        controller_->reassignments() - reassignments_at_start;
-    result.islands.reserve(islands_->count());
-    for (std::uint32_t i = 0; i < islands_->count(); ++i) {
-      IslandSummary summary;
-      summary.island_id = i;
-      summary.best_energy = islands_->pool(i).best_energy();
-      summary.pool_evaluated = islands_->pool(i).evaluated_count();
-      summary.inserts = islands_->inserts(i);
-      for (const auto& event : islands_->migration_log()) {
-        if (event.to == i) ++summary.migrations_in;
-      }
-      summary.blocks = controller_->blocks_on_island(i);
-      result.islands.push_back(summary);
-    }
-  }
-  result.best = current_best().bits;
-  result.best_energy = current_best().energy;
-  result.total_flips = flips_across_devices() - flips_at_start;
-  result.evaluated_solutions = result.total_flips * w_->size();
-  result.search_rate = result.seconds > 0.0
-                           ? static_cast<double>(result.evaluated_solutions) /
-                                 result.seconds
-                           : 0.0;
+  AbsResult result;
+  const std::uint64_t flips_at_start = flips_across_devices();
+  const std::uint64_t reassignments_at_start = controller_.reassignments();
+  begin_run(result);
 
-  // Graceful-shutdown checkpoint: a cancelled (SIGINT) or completed run
-  // leaves a resumable snapshot behind.
-  if (checkpointing) write_run_checkpoint(result, result.seconds);
+  Stopwatch watch;
+  for (std::uint64_t round = 0; round < rounds; ++round) {
+    for (std::size_t d = 0; d < devices_.size(); ++d) {
+      devices_[d].device->step_all_blocks_once();
+      // Deterministic "time" axis: the round index.
+      host_round(d, result, static_cast<double>(round));
+    }
+    if (target.has_value() && islands_.best_energy() <= *target) break;
+  }
+  result.seconds = watch.seconds();
+  finish_run(result, flips_at_start, reassignments_at_start, target);
   return result;
 }
 

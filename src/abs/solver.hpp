@@ -10,10 +10,24 @@
 //   Step 4: breed and store as many new targets as solutions arrived, and
 //           go back to Step 2.
 //
-// Devices run concurrently and asynchronously (see Device); the only shared
-// state is the mailboxes. The solver stops on any of the configured
-// criteria and reports throughput in the paper's metric — evaluated
-// solutions per second, where every committed flip evaluates n neighbours.
+// The host population is always an IslandSet driven by an
+// AdaptiveController (Diverse ABS, docs/algorithms.md). Classic ABS is its
+// degenerate case — one island, the portfolio {min-Δ}, controller off —
+// and island 0 draws from Rng(seed) itself, so that case replays the
+// single-pool protocol bit for bit (PortfolioLockstep pins it).
+//
+// Two entry points share the per-device round body (drain → insert →
+// breed → round clock):
+//   * run()        — devices run concurrently and asynchronously on their
+//                    worker threads (see Device); the only shared state is
+//                    the mailboxes. Stops on any configured criterion.
+//   * run_rounds() — step mode: every device steps all its blocks once on
+//                    the calling thread, then the host runs one round per
+//                    device. Identical (instance, config) always gives
+//                    identical results — the bit-reproducible executor for
+//                    regression baselines and paired A/B ablations.
+// Throughput is reported in the paper's metric — evaluated solutions per
+// second, where every committed flip evaluates n neighbours.
 //
 // Fault tolerance (docs/robustness.md): the host loop doubles as a device
 // watchdog. A device whose worker threw is quarantined (stopped without
@@ -94,8 +108,9 @@ struct AbsConfig {
   WatchdogConfig watchdog;
   /// Non-empty enables crash-safe run checkpointing to this path: an
   /// atomic snapshot (pool + seed + elapsed + per-device flips) is
-  /// written every checkpoint_interval_seconds and once more on any
-  /// graceful end of run() — including cancellation via request_stop().
+  /// written every checkpoint_interval_seconds of run() and once more on
+  /// any graceful end of run() or run_rounds() — including cancellation
+  /// via request_stop().
   std::string checkpoint_path;
   double checkpoint_interval_seconds = 0.0;
   /// Wall-clock seconds already spent by previous incarnations of this
@@ -115,8 +130,8 @@ struct AbsConfig {
   double snapshot_interval_seconds = 0.0;
   /// Diverse ABS (docs/algorithms.md): island pools, the per-block search
   /// portfolio, and the adaptive (pool, algorithm) controller. The default
-  /// (1 island, min-Δ only, controller off) leaves the solver bit-identical
-  /// to the single-pool protocol above — the lockstep test pins this.
+  /// (1 island, min-Δ only, controller off) is classic ABS — the
+  /// single-pool protocol above, pinned bit for bit by the lockstep test.
   portfolio::PortfolioConfig portfolio;
   /// Observability sinks, propagated to every device (non-owning; default
   /// = disabled). The solver adds host-side series (pool churn, GA
@@ -138,7 +153,7 @@ enum class DeviceHealth : std::uint8_t {
 /// totals across every incarnation of the device slot (restarts included).
 struct DeviceSummary {
   std::uint32_t device_id = 0;
-  std::uint32_t workers = 0;  ///< worker threads (0 = legacy single-thread)
+  std::uint32_t workers = 0;  ///< worker threads running the blocks
   std::uint64_t flips = 0;
   std::uint64_t iterations = 0;
   std::uint64_t reports = 0;  ///< solutions pushed (mailbox counter)
@@ -156,8 +171,8 @@ struct DeviceSummary {
   std::string failure;
 };
 
-/// Per-island accounting attached to diverse-mode results (empty vector on
-/// classic single-pool runs).
+/// Per-island accounting attached to every result (a classic run has one
+/// island).
 struct IslandSummary {
   std::uint32_t island_id = 0;
   Energy best_energy = 0;  ///< kUnevaluated when nothing reported
@@ -210,8 +225,8 @@ struct AbsResult {
   std::vector<std::pair<double, Energy>> best_trace;
   /// Per-device breakdown (the Fig. 8 fairness data).
   std::vector<DeviceSummary> devices;
-  /// Diverse mode only: per-island breakdown, ring-migration totals, and
-  /// controller activity. All empty/zero on classic runs.
+  /// Per-island breakdown, ring-migration totals, and controller activity
+  /// (one island and zero migrations/reassignments on classic runs).
   std::vector<IslandSummary> islands;
   std::uint64_t migrations = 0;        ///< elites copied over the ring
   std::uint64_t migration_events = 0;  ///< times the ring migration ran
@@ -242,19 +257,31 @@ class AbsSolver {
   /// the paper's long-lived blocks).
   AbsResult run(const StopCriteria& stop);
 
+  /// Step mode: runs `rounds` (≥ 1) synchronous rounds on the calling
+  /// thread, stopping early once the best energy is ≤ `target`. A round
+  /// steps every block of every device once, then runs the host round per
+  /// device. best_trace is stamped with the round index instead of
+  /// seconds. Same reuse contract as run(). Requires an explicit
+  /// DeviceConfig::threads_per_device: the worker count fixes the mailbox
+  /// sharding, so "auto" would make results depend on the host.
+  AbsResult run_rounds(std::uint64_t rounds,
+                       std::optional<Energy> target = std::nullopt);
+
   /// Thread-safe external cancellation: the current (or next) run() ends
   /// at its next host-loop poll with result.cancelled = true. The flag is
   /// consumed by that run.
   void request_stop() { stop_requested_.store(true); }
 
-  [[nodiscard]] const SolutionPool& pool() const { return pool_; }
-  /// Diverse mode only (null otherwise): the island pools / controller.
-  /// Host-loop state — read between runs or from the host thread.
-  [[nodiscard]] const portfolio::IslandSet* islands() const {
-    return islands_.get();
+  /// Island 0's pool — the whole population of a classic (one-island)
+  /// run.
+  [[nodiscard]] const SolutionPool& pool() const { return islands_.pool(0); }
+  /// The island pools / controller. Host-loop state — read between runs or
+  /// from the host thread.
+  [[nodiscard]] const portfolio::IslandSet& islands() const {
+    return islands_;
   }
-  [[nodiscard]] const portfolio::AdaptiveController* controller() const {
-    return controller_.get();
+  [[nodiscard]] const portfolio::AdaptiveController& controller() const {
+    return controller_;
   }
   [[nodiscard]] std::uint32_t num_devices() const {
     return static_cast<std::uint32_t>(devices_.size());
@@ -316,23 +343,32 @@ class AbsSolver {
   void poll_device_health(AbsResult& result, double now);
   /// Writes a run checkpoint (atomic); failures are counted, not fatal.
   void write_run_checkpoint(AbsResult& result, double now);
-  /// Best evaluated energy of the run's pool(s) — islands in diverse mode.
-  [[nodiscard]] Energy current_best_energy() const;
-  /// Evaluated entries across the run's pool(s).
-  [[nodiscard]] std::size_t current_evaluated() const;
-  /// The globally best entry across the run's pool(s).
-  [[nodiscard]] const SolutionPool::Entry& current_best() const;
-  /// Inserts one report into the right pool (the island of the reporting
-  /// block's arm in diverse mode), crediting the controller. Returns true
-  /// when the pool accepted it.
+  /// Host Step 1 of either entry point: revives slots left unhealthy by a
+  /// previous run, re-seeds the island pools (plus the warm start) and
+  /// stocks every device's target buffer.
+  void begin_run(AbsResult& result);
+  /// One GA round for device slot `d`: drain its reports, insert them
+  /// (Step 3), breed as many replacement targets (Step 4), then tick the
+  /// island migration and controller clocks. `now` stamps best_trace.
+  void host_round(std::size_t d, AbsResult& result, double now);
+  /// Final drain and the result's summary fields, shared by both entry points;
+  /// writes the graceful-shutdown checkpoint when checkpointing.
+  void finish_run(AbsResult& result, std::uint64_t flips_at_start,
+                  std::uint64_t reassignments_at_start,
+                  const std::optional<Energy>& target);
+  /// Island of the arm block `block` of device `device` is assigned to.
+  [[nodiscard]] std::uint32_t island_of(std::uint32_t device,
+                                        std::uint32_t block) const;
+  /// Inserts one report into the island of the reporting block's arm,
+  /// crediting the controller. Returns true when the pool accepted it.
   bool insert_report(std::uint32_t device, std::uint32_t block,
                      const BitVector& bits, Energy energy);
-  /// A target-stocking bit vector for block `block` of device `device`
-  /// (its arm's island pool in diverse mode).
+  /// The Step 1 target for block `block` of device `device`, from its
+  /// arm's island pool; warm-started entries (best-first) go out first.
   [[nodiscard]] const BitVector& stock_target(std::uint32_t device,
                                               std::uint32_t block);
-  /// Diverse mode: the merged best-first view of all island pools (the
-  /// checkpoint payload, capped at pool_capacity).
+  /// The merged best-first view of all island pools (the checkpoint
+  /// payload, capped at pool_capacity); a single island is its own view.
   [[nodiscard]] SolutionPool merged_pool() const;
   /// Re-applies the controller's current (possibly reallocated) member
   /// assignments to a freshly built device incarnation.
@@ -340,16 +376,12 @@ class AbsSolver {
 
   const WeightMatrix* w_;
   AbsConfig config_;
-  SolutionPool pool_;
-  /// Diverse mode (portfolio.diverse()): the island pools and the
-  /// (island, algorithm) controller; null on classic runs. The controller
-  /// exists even with portfolio.controller == false — it carries the
-  /// static block → arm striping the report router needs.
-  std::unique_ptr<portfolio::IslandSet> islands_;
-  std::unique_ptr<portfolio::AdaptiveController> controller_;
-  bool diverse_ = false;
+  /// The host population and the (island, algorithm) controller. The
+  /// controller exists even with portfolio.controller == false — it
+  /// carries the static block → arm striping the report router needs.
+  portfolio::IslandSet islands_;
+  portfolio::AdaptiveController controller_;
   std::vector<DeviceSlot> devices_;
-  Rng rng_;
   std::atomic<bool> stop_requested_{false};
 
   // Host-side telemetry series, resolved at construction (null = off).

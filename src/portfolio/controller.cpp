@@ -47,6 +47,11 @@ std::uint32_t AdaptiveController::register_block(std::uint32_t device,
   const auto arm = (device + block) % num_arms();
   blocks_.push_back({device, block, arm});
   ++arms_[arm].blocks;
+  if (!m_island_blocks_.empty()) {
+    const std::uint32_t island = arms_[arm].island;
+    m_island_blocks_[island]->set(
+        static_cast<double>(blocks_on_island(island)));
+  }
   return arm;
 }
 

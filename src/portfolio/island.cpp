@@ -45,7 +45,10 @@ IslandSet::IslandSet(const Config& config) : config_(config) {
   for (std::uint32_t i = 0; i < config.islands; ++i) {
     const GaConfig ga =
         config.diversify_ga ? diversified_ga(config.ga, i) : config.ga;
-    islands_.emplace_back(config.pool_capacity, ga, root.split(i));
+    // Island 0 draws from the root stream itself, so a one-island set
+    // replays the classic single-pool host bit for bit.
+    islands_.emplace_back(config.pool_capacity, ga,
+                          i == 0 ? root : root.split(i));
   }
   if (obs::MetricsRegistry* registry = config.telemetry.metrics;
       registry != nullptr) {

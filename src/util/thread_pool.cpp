@@ -1,11 +1,26 @@
 #include "util/thread_pool.hpp"
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
+#include <algorithm>
 #include <utility>
 
 #include "util/check.hpp"
 #include "util/failpoint.hpp"
 
 namespace absq {
+
+unsigned available_cpus() {
+#if defined(__linux__)
+  cpu_set_t mask;
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    return static_cast<unsigned>(std::max(1, CPU_COUNT(&mask)));
+  }
+#endif
+  return std::max(1u, std::thread::hardware_concurrency());
+}
 
 ThreadPool::ThreadPool(std::size_t threads) {
   ABSQ_CHECK(threads >= 1, "a thread pool needs at least one worker");

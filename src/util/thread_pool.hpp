@@ -70,4 +70,10 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
+/// CPUs this process may run on — its affinity mask where the platform
+/// reports one, so a run pinned with `taskset -c 0` counts 1, not every
+/// core of the machine (std::thread::hardware_concurrency). At least 1.
+/// The "auto" worker counts derive from this.
+[[nodiscard]] unsigned available_cpus();
+
 }  // namespace absq

@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "abs/solver.hpp"
-#include "abs/sync_runner.hpp"
 #include "ga/operators.hpp"
 #include "problems/maxcut.hpp"
 #include "problems/random.hpp"
@@ -121,9 +120,10 @@ TEST(SolverExtras, SyncRunnerWithAdaptiveDevicesIsDeterministic) {
   config.device.block_limit = 4;
   config.device.adaptive = true;
   config.device.stagnation_limit = 2;
+  config.device.threads_per_device = 1;
   config.seed = 11;
-  SyncAbsRunner a(w, config);
-  SyncAbsRunner b(w, config);
+  AbsSolver a(w, config);
+  AbsSolver b(w, config);
   EXPECT_EQ(a.run_rounds(12).best_energy, b.run_rounds(12).best_energy);
 }
 

@@ -172,23 +172,11 @@ TEST(Device, MultiThreadedWorkersKeepCountersConsistent) {
   }
 }
 
-TEST(Device, ExplicitZeroThreadsKeepsLegacySingleThreadSchedule) {
+TEST(Device, ZeroThreadsIsRejected) {
   const WeightMatrix w = random_qubo(64, 22);
   DeviceConfig config = small_device_config(3, 16);
   config.threads_per_device = 0;
-  Device device(w, config);
-  EXPECT_EQ(device.worker_count(), 0u);
-  EXPECT_EQ(device.targets().shard_count(), 1u);
-  EXPECT_EQ(device.solutions().shard_count(), 1u);
-  device.start();
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (device.total_iterations() < 6 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::yield();
-  }
-  device.stop();
-  EXPECT_GE(device.total_iterations(), 6u);
+  EXPECT_THROW(Device(w, config), CheckError);
 }
 
 TEST(Device, MoreWorkersThanBlocksStillProgressesAndJoins) {

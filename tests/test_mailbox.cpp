@@ -116,6 +116,31 @@ TEST(TargetBuffer, ShardedOverflowDropsWithinTheFullShard) {
   EXPECT_EQ(buffer.pending(), 4u);
 }
 
+TEST(Mailboxes, CapacityIsTheTotalAcrossShards) {
+  // The capacity contract: whatever the shard count, an overfilled
+  // mailbox holds exactly `capacity` entries — never more (shards are
+  // clamped to the capacity) and never fewer (the split is exact).
+  const std::pair<std::size_t, std::size_t> cases[] = {
+      {2, 4}, {68, 3}, {5, 1}, {7, 7}, {9, 4}};
+  for (const auto& [capacity, shards] : cases) {
+    TargetBuffer targets(capacity, shards);
+    EXPECT_LE(targets.shard_count(), capacity);
+    for (std::size_t i = 0; i < 3 * capacity + 1; ++i) {
+      targets.push(BitVector(4));
+    }
+    EXPECT_EQ(targets.pending(), capacity) << capacity << "/" << shards;
+    EXPECT_EQ(targets.dropped(), 2 * capacity + 1);
+
+    SolutionBuffer solutions(capacity, shards);
+    for (std::size_t i = 0; i < 3 * capacity + 1; ++i) {
+      solutions.push({BitVector(4), static_cast<Energy>(i), 0, 0});
+    }
+    EXPECT_EQ(solutions.drain().size(), capacity)
+        << capacity << "/" << shards;
+    EXPECT_EQ(solutions.dropped(), 2 * capacity + 1);
+  }
+}
+
 TEST(SolutionBuffer, ShardedPushAndDrainCollectEverything) {
   SolutionBuffer buffer(16, 4);
   EXPECT_EQ(buffer.shard_count(), 4u);

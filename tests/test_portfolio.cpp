@@ -9,7 +9,6 @@
 
 #include "abs/search_block.hpp"
 #include "abs/solver.hpp"
-#include "abs/sync_runner.hpp"
 #include "ga/pool_io.hpp"
 #include "portfolio/block_algorithm.hpp"
 #include "portfolio/controller.hpp"
@@ -115,8 +114,9 @@ TEST(PortfolioLockstep, SyncRunnerMatchesPreRefactorGolden) {
   config.device.local_steps = 48;
   config.pool_capacity = 24;
   config.seed = 1234;
+  config.device.threads_per_device = 1;
   ASSERT_FALSE(config.portfolio.diverse());
-  SyncAbsRunner runner(w, config);
+  AbsSolver runner(w, config);
   const AbsResult result = runner.run_rounds(20);
   EXPECT_EQ(result.best_energy, -17185);
   EXPECT_EQ(bits_hash(result.best), 7337929160952997101ULL);
@@ -464,9 +464,9 @@ void check_diverse_result(const AbsConfig& config, const WeightMatrix& w,
                           }));
 }
 
-TEST(DiverseSolver, RunsOnTheLegacySingleThreadPath) {
+TEST(DiverseSolver, RunsOnASingleWorkerPerDevice) {
   const WeightMatrix w = random_qubo(64, 41);
-  const AbsConfig config = diverse_config(0);
+  const AbsConfig config = diverse_config(1);
   AbsSolver solver(w, config);
   StopCriteria stop;
   stop.time_limit_seconds = 0.6;
@@ -488,7 +488,7 @@ TEST(DiverseSolver, RunsOnTheShardedWorkerPath) {
 
 TEST(DiverseSolver, CheckpointMergesTheIslandPools) {
   const WeightMatrix w = random_qubo(64, 43);
-  AbsConfig config = diverse_config(0);
+  AbsConfig config = diverse_config(1);
   const std::string path =
       ::testing::TempDir() + "/diverse_checkpoint.absq";
   config.checkpoint_path = path;
@@ -505,11 +505,42 @@ TEST(DiverseSolver, CheckpointMergesTheIslandPools) {
   std::remove(path.c_str());
 }
 
-TEST(DiverseSolver, SyncRunnerRejectsDiverseConfigs) {
-  const WeightMatrix w = random_qubo(32, 44);
+TEST(DiverseSolver, StepModeIsDeterministic) {
+  const WeightMatrix w = random_qubo(48, 44);
   AbsConfig config;
+  config.device.block_limit = 4;
+  config.device.local_steps = 32;
+  config.device.threads_per_device = 1;
+  config.pool_capacity = 16;
+  config.seed = 44;
   config.portfolio.islands = 2;
-  EXPECT_THROW((void)SyncAbsRunner(w, config), CheckError);
+  config.portfolio.algorithms = {BlockAlgorithmKind::kMinDelta,
+                                 BlockAlgorithmKind::kSa};
+  config.portfolio.controller = true;
+  config.portfolio.migration_interval = 4;
+  config.portfolio.realloc_interval = 4;
+  AbsSolver solver_a(w, config);
+  AbsSolver solver_b(w, config);
+  const AbsResult a = solver_a.run_rounds(40);
+  const AbsResult b = solver_b.run_rounds(40);
+
+  EXPECT_EQ(a.best, b.best);
+  EXPECT_EQ(a.best_energy, b.best_energy);
+  EXPECT_EQ(full_energy(w, a.best), a.best_energy);
+  EXPECT_EQ(a.controller_reassignments, b.controller_reassignments);
+  EXPECT_GT(a.controller_reassignments, 0u);
+  const auto& log_a = solver_a.islands().migration_log();
+  const auto& log_b = solver_b.islands().migration_log();
+  ASSERT_FALSE(log_a.empty());
+  ASSERT_EQ(log_a.size(), log_b.size());
+  for (std::size_t i = 0; i < log_a.size(); ++i) {
+    EXPECT_EQ(log_a[i].round, log_b[i].round) << i;
+    EXPECT_EQ(log_a[i].from, log_b[i].from) << i;
+    EXPECT_EQ(log_a[i].to, log_b[i].to) << i;
+    EXPECT_EQ(log_a[i].energy, log_b[i].energy) << i;
+    EXPECT_EQ(log_a[i].inserted, log_b[i].inserted) << i;
+  }
+  ASSERT_EQ(a.islands.size(), 2u);
 }
 
 // ---------------------------------------------------------------------------

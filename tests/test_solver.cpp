@@ -195,7 +195,7 @@ TEST(AbsSolver, TargetDropsAreCountedAndSurfaced) {
   // A single target slot cannot hold the four Step 1 targets: three drops
   // are guaranteed before the run even starts moving.
   config.device.target_capacity = 1;
-  config.device.threads_per_device = 0;
+  config.device.threads_per_device = 1;
   AbsSolver solver(w, config);
   StopCriteria stop;
   stop.max_flips = 2000;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
@@ -12,6 +16,26 @@
 
 namespace absq {
 namespace {
+
+TEST(AvailableCpus, FollowsTheAffinityMask) {
+  EXPECT_GE(available_cpus(), 1u);
+#if defined(__linux__)
+  // Pinned to one CPU (what `taskset -c 0` does to a whole run), the
+  // "auto" worker counts must see one CPU, not every core of the machine.
+  cpu_set_t original;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(original), &original), 0);
+  std::size_t first = 0;
+  while (!CPU_ISSET(first, &original)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  EXPECT_EQ(available_cpus(), 1u);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(original), &original), 0);
+  EXPECT_EQ(available_cpus(),
+            static_cast<unsigned>(CPU_COUNT(&original)));
+#endif
+}
 
 TEST(ThreadPool, RejectsZeroWorkers) {
   EXPECT_THROW(ThreadPool(0), CheckError);

@@ -8,7 +8,7 @@
 #include <thread>
 #include <vector>
 
-#include "abs/sync_runner.hpp"
+#include "abs/solver.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "problems/random.hpp"
@@ -152,9 +152,10 @@ TEST(DisabledTracing, SyncRunnerResultsAreIdentical) {
   const WeightMatrix w = random_qubo(96, 7);
   AbsConfig config;
   config.device.block_limit = 4;
+  config.device.threads_per_device = 1;
   config.seed = 11;
 
-  SyncAbsRunner plain(w, config);
+  AbsSolver plain(w, config);
   const AbsResult baseline = plain.run_rounds(30);
 
   MetricsRegistry registry;
@@ -162,7 +163,7 @@ TEST(DisabledTracing, SyncRunnerResultsAreIdentical) {
   AbsConfig instrumented_config = config;
   instrumented_config.telemetry.metrics = &registry;
   instrumented_config.telemetry.tracer = &tracer;
-  SyncAbsRunner instrumented(w, instrumented_config);
+  AbsSolver instrumented(w, instrumented_config);
   const AbsResult traced = instrumented.run_rounds(30);
 
   // Same search trajectory, flip for flip.

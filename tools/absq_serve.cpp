@@ -54,6 +54,18 @@ extern "C" void handle_stop_signal(int signum) {
   std::signal(signum, SIG_DFL);
 }
 
+/// Integer flag `name`, rejected at startup unless it lies in [lo, hi] — a
+/// narrowing cast would otherwise wrap a typo such as --threads -1 into
+/// billions of workers per job.
+std::int64_t flag_in_range(const absq::CliParser& cli, const char* name,
+                           std::int64_t lo, std::int64_t hi) {
+  const std::int64_t value = cli.get_int(name);
+  ABSQ_CHECK(value >= lo && value <= hi, "--" << name << " must be in ["
+                                              << lo << ", " << hi
+                                              << "], got " << value);
+  return value;
+}
+
 int run(int argc, char** argv) {
   absq::CliParser cli(
       "absq_serve — multi-tenant QUBO job server (line-delimited JSON over "
@@ -114,6 +126,14 @@ int run(int argc, char** argv) {
   const std::int64_t http_port = cli.get_int("http-port");
   ABSQ_CHECK(http_port >= -1 && http_port <= 65535,
              "--http-port must be in [0, 65535], or -1 for off");
+  constexpr std::int64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+  const std::int64_t devices = flag_in_range(cli, "devices", 1, kMaxU32);
+  const std::int64_t blocks = flag_in_range(cli, "blocks", 0, kMaxU32);
+  const std::int64_t threads = flag_in_range(cli, "threads", 1, kMaxU32);
+  const std::int64_t pool = flag_in_range(
+      cli, "pool", 1, std::numeric_limits<std::int64_t>::max());
+  const std::int64_t max_restarts =
+      flag_in_range(cli, "max-restarts", 0, kMaxU32);
 
   absq::obs::Logger::global().set_level(
       absq::obs::log_level_from_string(cli.get_string("log-level")));
@@ -139,19 +159,17 @@ int run(int argc, char** argv) {
   ABSQ_CHECK(!manager_config.recover || !manager_config.checkpoint_dir.empty(),
              "--recover needs --checkpoint-dir (the journal lives there)");
   manager_config.telemetry.metrics = &registry;
-  manager_config.solver.num_devices =
-      static_cast<std::uint32_t>(cli.get_int("devices"));
+  manager_config.solver.num_devices = static_cast<std::uint32_t>(devices);
   manager_config.solver.device.block_limit =
-      static_cast<std::uint32_t>(cli.get_int("blocks"));
+      static_cast<std::uint32_t>(blocks);
   manager_config.solver.device.threads_per_device =
-      static_cast<std::uint32_t>(cli.get_int("threads"));
+      static_cast<std::uint32_t>(threads);
   manager_config.solver.device.adaptive = cli.get_bool("adaptive");
-  manager_config.solver.pool_capacity =
-      static_cast<std::size_t>(cli.get_int("pool"));
+  manager_config.solver.pool_capacity = static_cast<std::size_t>(pool);
   manager_config.solver.watchdog.stall_grace_seconds =
       cli.get_double("watchdog-grace");
   manager_config.solver.watchdog.max_restarts =
-      static_cast<std::uint32_t>(cli.get_int("max-restarts"));
+      static_cast<std::uint32_t>(max_restarts);
   manager_config.solver.watchdog.restart_backoff_seconds =
       cli.get_double("restart-backoff");
   manager_config.solver.telemetry.metrics = &registry;

@@ -81,8 +81,7 @@ int run(int argc, char** argv) {
   cli.add_flag("local-steps", std::int64_t{0},
                "Step 4b flips per iteration (0 = one sweep)");
   cli.add_flag("threads", std::int64_t{-1},
-               "worker threads per device (-1 = auto: cores/devices, "
-               "0 = single legacy device thread)");
+               "worker threads per device (-1 = auto: cores/devices)");
   cli.add_flag("pool", std::int64_t{128}, "solution pool capacity");
   cli.add_flag("adaptive", false, "enable adaptive window switching");
   cli.add_flag("islands", std::int64_t{1},
@@ -189,14 +188,14 @@ int run(int argc, char** argv) {
     const absq::QuboKernel plan(w, config.device.kernel);
     std::printf("kernel: %s\n", plan.description().c_str());
   }
-  // -1 is the documented "auto" sentinel; anything else negative is a
-  // typo that must not silently mean auto (or wrap through a cast).
+  // -1 is the documented "auto" sentinel; 0 and anything else negative
+  // are typos that must not silently mean auto (or wrap through a cast).
   const std::int64_t threads = cli.get_int("threads");
-  ABSQ_CHECK(threads >= -1 &&
+  ABSQ_CHECK((threads == -1 || threads >= 1) &&
                  threads <= std::numeric_limits<std::uint32_t>::max(),
-             "--threads must be -1 (auto) or a worker count, got "
+             "--threads must be -1 (auto) or a worker count >= 1, got "
                  << threads);
-  if (threads >= 0) {
+  if (threads >= 1) {
     config.device.threads_per_device = static_cast<std::uint32_t>(threads);
   }
   config.pool_capacity = static_cast<std::size_t>(cli.get_int("pool"));
