@@ -4,7 +4,7 @@
 // is where the paper's search-rate metric comes from.
 //
 // The flip benchmarks run per kernel form (dense scalar reference, dense
-// SIMD, CSR sparse, and the opt-in 32-bit Δ width) on both the dense
+// SIMD, CSR sparse; 64- and 32-bit Δ) on both the dense
 // random family and G-set-style Max-Cut instances, making the sparse
 // crossover measurable on one screen.
 //

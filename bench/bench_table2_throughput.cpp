@@ -176,7 +176,7 @@ int main(int argc, char** argv) {
       report_row(report,
                  "random-" + std::to_string(n) + "/p" + std::to_string(p),
                  static_cast<std::uint64_t>(cli.get_int("seed")), w, measured,
-                 "dense-simd/64-bit (auto)");
+                 absq::QuboKernel(w).description());
     }
   }
   std::printf(
@@ -223,7 +223,7 @@ int main(int argc, char** argv) {
     const std::string row = "gset-" + gspec.name;
     report_row(report, row + "/dense-simd",
                static_cast<std::uint64_t>(cli.get_int("seed")), w, dense,
-               "dense-simd/64-bit");
+               absq::QuboKernel(w, dense_kernel).description());
     report_row(report, row + "/sparse",
                static_cast<std::uint64_t>(cli.get_int("seed")), w, sparse,
                plan.description());

@@ -26,6 +26,9 @@ SANITIZE_TARGETS=(test_metrics test_trace test_mailbox test_device
                   test_solver test_portfolio test_thread_pool
                   test_failpoint test_fault_tolerance test_protocol
                   test_journal test_job_manager test_job_server)
+# The ASan+UBSan tier adds the flip-kernel suites: UBSan guards the int32
+# Δ repair (uint32 wraparound at i == k) on the default hot path.
+ASAN_TARGETS=("${SANITIZE_TARGETS[@]}" test_kernels test_delta_state)
 # The chaos harness (SIGKILL + --recover) also runs under both sanitizers,
 # against sanitized builds of the tools it drives.
 CHAOS_TOOLS=(absq_gen absq_serve absq_client)
@@ -56,8 +59,8 @@ echo "== tier 3: Address+UB Sanitizer =="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DABSQ_SANITIZE=address >/dev/null
 cmake --build build-asan -j "$JOBS" \
-      --target "${SANITIZE_TARGETS[@]}" "${CHAOS_TOOLS[@]}"
-for test in "${SANITIZE_TARGETS[@]}"; do
+      --target "${ASAN_TARGETS[@]}" "${CHAOS_TOOLS[@]}"
+for test in "${ASAN_TARGETS[@]}"; do
   echo "-- asan: $test"
   ./build-asan/tests/"$test"
 done

@@ -15,8 +15,10 @@ namespace {
 // 64-bit reference); that one transient value can exceed int32 range, so
 // the addition runs on uint32 (defined wraparound, identical bits for every
 // in-range value) and the k slot is overwritten with −Δ_k right after.
+// Always inlined, also into the per-ISA passes below: an out-of-line call
+// would keep their loops from vectorizing.
 template <class D>
-inline D add_repair(D d, int adj) {
+[[gnu::always_inline]] inline D add_repair(D d, int adj) {
   if constexpr (sizeof(D) == sizeof(std::int32_t)) {
     return static_cast<D>(static_cast<std::uint32_t>(d) +
                           static_cast<std::uint32_t>(adj));
@@ -27,7 +29,137 @@ inline D add_repair(D d, int adj) {
 
 constexpr Energy kNoDelta = std::numeric_limits<Energy>::max();
 
+// ---------------------------------------------------------------------------
+// Dense-simd passes (see DenseSimdPasses), written once and compiled per
+// KernelIsa by the thin target-attributed wrappers below.
+
+template <class D>
+[[gnu::always_inline]] inline void repair_pass(D* deltas, const Weight* row,
+                                               const std::int8_t* signs,
+                                               int two_phi_k, BitIndex n) {
+  // 2·φ(x_k)·φ(x_i)·W_ki as a select on φ(x_i) == φ(x_k) — the same value
+  // as the scalar loop's product, without two vector multiplies.
+  const std::int8_t phi_k = two_phi_k > 0 ? 1 : -1;
+#pragma omp simd
+  for (BitIndex i = 0; i < n; ++i) {
+    const int twice = 2 * static_cast<int>(row[i]);
+    deltas[i] = add_repair(deltas[i], signs[i] == phi_k ? twice : -twice);
+  }
+}
+
+// Integer min is order-independent, so the vectorized reduction equals the
+// scalar left-to-right min exactly. Spans are a pointer plus a std::size_t
+// length: a 32-bit index starting mid-vector (at k + 1, at a window
+// offset) may wrap as far as the compiler knows, which turns the loads
+// into per-lane gathers.
+template <class D>
+[[gnu::always_inline]] inline D min_span(const D* values, std::size_t len,
+                                         D best) {
+#pragma omp simd reduction(min : best)
+  for (std::size_t i = 0; i < len; ++i) {
+    best = values[i] < best ? values[i] : best;
+  }
+  return best;
+}
+
+// Leftmost i < len with values[i] == target (len when none). Whole chunks
+// are skipped by one vectorized any-equal test each; only the chunk that
+// hits is scanned element by element.
+template <class D>
+[[gnu::always_inline]] inline std::size_t find_first(const D* values,
+                                                     std::size_t len,
+                                                     D target) {
+  constexpr std::size_t kChunk = 64;
+  std::size_t base = 0;
+  for (; base + kChunk <= len; base += kChunk) {
+    int hit = 0;
+#pragma omp simd reduction(| : hit)
+    for (std::size_t i = 0; i < kChunk; ++i) {
+      hit |= values[base + i] == target ? 1 : 0;
+    }
+    if (hit != 0) break;
+  }
+  while (base < len && values[base] != target) ++base;
+  return base;
+}
+
+// DenseSimdPasses::leftmost_min: the minimum value first, then its first
+// occurrence in head ++ tail order.
+template <class D>
+[[gnu::always_inline]] inline std::size_t leftmost_min_pass(
+    const D* head, std::size_t head_len, const D* tail, std::size_t tail_len) {
+  const D best = min_span(tail, tail_len,
+                          min_span(head, head_len,
+                                   std::numeric_limits<D>::max()));
+  const std::size_t in_head = find_first(head, head_len, best);
+  if (in_head < head_len) return in_head;
+  return head_len + find_first(tail, tail_len, best);
+}
+
+template <class D>
+void repair_portable(D* deltas, const Weight* row, const std::int8_t* signs,
+                     int two_phi_k, BitIndex n) {
+  repair_pass(deltas, row, signs, two_phi_k, n);
+}
+template <class D>
+std::size_t leftmost_min_portable(const D* head, std::size_t head_len,
+                                  const D* tail, std::size_t tail_len) {
+  return leftmost_min_pass(head, head_len, tail, tail_len);
+}
+
+#if defined(__x86_64__)
+template <class D>
+[[gnu::target("avx2")]] void repair_avx2(D* deltas, const Weight* row,
+                                         const std::int8_t* signs,
+                                         int two_phi_k, BitIndex n) {
+  repair_pass(deltas, row, signs, two_phi_k, n);
+}
+template <class D>
+[[gnu::target("avx2")]] std::size_t leftmost_min_avx2(const D* head,
+                                                      std::size_t head_len,
+                                                      const D* tail,
+                                                      std::size_t tail_len) {
+  return leftmost_min_pass(head, head_len, tail, tail_len);
+}
+template <class D>
+[[gnu::target("arch=x86-64-v4")]] void repair_v4(D* deltas, const Weight* row,
+                                                 const std::int8_t* signs,
+                                                 int two_phi_k, BitIndex n) {
+  repair_pass(deltas, row, signs, two_phi_k, n);
+}
+template <class D>
+[[gnu::target("arch=x86-64-v4")]] std::size_t leftmost_min_v4(
+    const D* head, std::size_t head_len, const D* tail, std::size_t tail_len) {
+  return leftmost_min_pass(head, head_len, tail, tail_len);
+}
+#endif
+
 }  // namespace
+
+template <class D>
+const DenseSimdPasses<D>& dense_simd_passes(KernelIsa isa) {
+  static constexpr DenseSimdPasses<D> kPortable{&repair_portable<D>,
+                                                &leftmost_min_portable<D>};
+#if defined(__x86_64__)
+  static constexpr DenseSimdPasses<D> kAvx2{&repair_avx2<D>,
+                                            &leftmost_min_avx2<D>};
+  static constexpr DenseSimdPasses<D> kV4{&repair_v4<D>, &leftmost_min_v4<D>};
+  switch (isa) {
+    case KernelIsa::kPortable:
+      return kPortable;
+    case KernelIsa::kAvx2:
+      return kAvx2;
+    case KernelIsa::kX86_64_V4:
+      return kV4;
+  }
+#endif
+  ABSQ_CHECK(isa == KernelIsa::kPortable,
+             "kernel ISA " << to_string(isa) << " is not built for this target");
+  return kPortable;
+}
+
+template const DenseSimdPasses<std::int32_t>& dense_simd_passes(KernelIsa);
+template const DenseSimdPasses<std::int64_t>& dense_simd_passes(KernelIsa);
 
 // ---------------------------------------------------------------------------
 // MinTree — leftmost-min tournament tree (sparse form only).
@@ -104,7 +236,8 @@ DeltaState::DeltaState(const QuboKernel& kernel)
       sparse_(kernel.sparse()),
       x_(kernel.dense().size()),
       form_(kernel.form()),
-      width_(kernel.width()) {
+      width_(kernel.width()),
+      isa_(kernel.isa()) {
   init_zero_state();
 }
 
@@ -113,7 +246,8 @@ DeltaState::DeltaState(const QuboKernel& kernel, const BitVector& x)
       sparse_(kernel.sparse()),
       x_(x),
       form_(kernel.form()),
-      width_(kernel.width()) {
+      width_(kernel.width()),
+      isa_(kernel.isa()) {
   init_from_bits(x);
 }
 
@@ -177,11 +311,7 @@ Energy DeltaState::flip_dense(D* deltas, BitIndex k) {
   const BitIndex n = size();
   const std::int8_t* signs = signs_.data();
   if (form_ == KernelForm::kDenseSimd) {
-#pragma omp simd
-    for (BitIndex i = 0; i < n; ++i) {
-      deltas[i] =
-          add_repair(deltas[i], two_phi_k * signs[i] * static_cast<int>(row[i]));
-    }
+    dense_simd_passes<D>(isa_).repair(deltas, row.data(), signs, two_phi_k, n);
   } else {
     for (BitIndex i = 0; i < n; ++i) {
       deltas[i] =
@@ -247,16 +377,12 @@ DeltaState::FlipOutcome DeltaState::flip_tracked_dense_simd(D* deltas,
   const Energy old_delta_k = static_cast<Energy>(deltas[k]);
   const Energy new_energy = energy_ + old_delta_k;
   const BitIndex n = size();
-  const std::int8_t* signs = signs_.data();
+  const DenseSimdPasses<D>& passes = dense_simd_passes<D>(isa_);
 
   // Pass 1: branchless repair (the argmin is hoisted out so this loop
   // vectorizes — the fused scalar loop's per-element compare defeats GCC's
   // vectorizer on the int64 path).
-#pragma omp simd
-  for (BitIndex i = 0; i < n; ++i) {
-    deltas[i] =
-        add_repair(deltas[i], two_phi_k * signs[i] * static_cast<int>(row[i]));
-  }
+  passes.repair(deltas, row.data(), signs_.data(), two_phi_k, n);
   deltas[k] = static_cast<D>(-old_delta_k);
   energy_ = new_energy;
   signs_[k] = static_cast<std::int8_t>(-signs_[k]);
@@ -269,33 +395,12 @@ DeltaState::FlipOutcome DeltaState::flip_tracked_dense_simd(D* deltas,
                        k};
   }
 
-  // Pass 2: min value over i ≠ k (vectorizable reductions), then the
-  // leftmost index attaining it — integer min is order-independent, so the
-  // result is bit-identical to the fused scalar pass.
-  D best = std::numeric_limits<D>::max();
-#pragma omp simd reduction(min : best)
-  for (BitIndex i = 0; i < k; ++i) {
-    best = deltas[i] < best ? deltas[i] : best;
-  }
-#pragma omp simd reduction(min : best)
-  for (BitIndex i = k + 1; i < n; ++i) {
-    best = deltas[i] < best ? deltas[i] : best;
-  }
-  BitIndex best_bit = k;
-  for (BitIndex i = 0; i < k; ++i) {
-    if (deltas[i] == best) {
-      best_bit = i;
-      break;
-    }
-  }
-  if (best_bit == k) {
-    for (BitIndex i = k + 1; i < n; ++i) {
-      if (deltas[i] == best) {
-        best_bit = i;
-        break;
-      }
-    }
-  }
+  // Pass 2: leftmost argmin over i ≠ k, i.e. over [0, k) ++ (k, n) —
+  // bit-identical to the fused scalar pass.
+  const std::size_t pos = passes.leftmost_min(deltas, k, deltas + k + 1,
+                                              std::size_t{n} - k - 1);
+  const auto best_bit = static_cast<BitIndex>(pos < k ? pos : pos + 1);
+  const D best = deltas[best_bit];
   return FlipOutcome{new_energy, new_energy + static_cast<Energy>(best),
                      best_bit};
 }
@@ -402,16 +507,31 @@ BitIndex DeltaState::argmin_span(const D* deltas, BitIndex offset,
   return best;
 }
 
+template <class D>
+BitIndex DeltaState::argmin_window_simd(const D* deltas, BitIndex offset,
+                                        BitIndex first, BitIndex rest) const {
+  // The window is [offset, offset + first) ++ [0, rest) in traversal order.
+  const std::size_t pos = dense_simd_passes<D>(isa_).leftmost_min(
+      deltas + offset, first, deltas, rest);
+  return static_cast<BitIndex>(pos < first ? offset + pos : pos - first);
+}
+
 BitIndex DeltaState::argmin_window(BitIndex offset, BitIndex len) const {
   const BitIndex n = size();
   ABSQ_DCHECK(len >= 1 && len <= n, "window length outside [1, n]");
   offset %= n;
+  const BitIndex first = len < n - offset ? len : n - offset;
   if (form_ == KernelForm::kSparse) {
-    const BitIndex first = len < n - offset ? len : n - offset;
     const MinTree::Entry a = tree_.query(offset, offset + first);
     if (len == first) return a.idx;
     const MinTree::Entry b = tree_.query(0, len - first);
     return b.val < a.val ? b.idx : a.idx;
+  }
+  if (form_ == KernelForm::kDenseSimd) {
+    return width_ == DeltaWidth::kWide64
+               ? argmin_window_simd(deltas_.data(), offset, first, len - first)
+               : argmin_window_simd(deltas32_.data(), offset, first,
+                                    len - first);
   }
   return width_ == DeltaWidth::kWide64
              ? argmin_span(deltas_.data(), offset, len)

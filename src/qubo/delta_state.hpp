@@ -19,10 +19,11 @@
 //   * sparse       — O(degree(k)) CSR repair, with a tournament tree over Δ
 //                    keeping the fused argmin exact in O(degree·log n);
 //
-// each with Δ stored 64-bit or (opt-in, overflow-prechecked) 32-bit. All
-// form × width combinations are pinned bit-identical — same energies, same
-// Δ, same FlipOutcome including tie-breaks — by lockstep property tests, so
-// which one runs is purely a throughput decision.
+// each with Δ stored 32-bit (wherever the plan's overflow precheck passes)
+// or 64-bit, and the dense-simd passes compiled per instruction set. All
+// form × width × ISA combinations are pinned bit-identical — same
+// energies, same Δ, same FlipOutcome including tie-breaks — by lockstep
+// property tests, so which one runs is purely a throughput decision.
 //
 // The class deliberately exposes the Δ vector read-only: every search
 // algorithm in this library (Algorithms 3–5, the ABS SearchBlock, the
@@ -32,6 +33,7 @@
 // Eq. (4) reference for thousands of random flip sequences.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -42,6 +44,29 @@
 #include "qubo/weight_matrix.hpp"
 
 namespace absq {
+
+/// The two dense-simd passes of one Δ width, compiled for one KernelIsa.
+/// DeltaState calls them through dense_simd_passes(); they are exposed so
+/// tests can pin every variant against the scalar reference.
+template <class D>
+struct DenseSimdPasses {
+  /// Eq. (16) repair for every i of row k: Δ_i += 2·φ(x_k)·φ(x_i)·W_ki,
+  /// i == k included (the caller then overwrites Δ_k with −Δ_k). `signs`
+  /// holds φ(x_i) before the flip.
+  void (*repair)(D* deltas, const Weight* row, const std::int8_t* signs,
+                 int two_phi_k, BitIndex n);
+  /// Position of the leftmost minimum of the sequence head ++ tail —
+  /// the first-seen minimum of a strict-< scan; head_len + tail_len when
+  /// both are empty. Serves the best-neighbour argmin over i ≠ k
+  /// ([0, k) ++ (k, n)) and the wrapping argmin_window.
+  std::size_t (*leftmost_min)(const D* head, std::size_t head_len,
+                              const D* tail, std::size_t tail_len);
+};
+
+/// The pass table of `isa`, for D = std::int32_t or std::int64_t. `isa`
+/// must be one of runnable_isas().
+template <class D>
+[[nodiscard]] const DenseSimdPasses<D>& dense_simd_passes(KernelIsa isa);
 
 class DeltaState {
  public:
@@ -83,7 +108,7 @@ class DeltaState {
                : static_cast<Energy>(deltas32_[i]);
   }
 
-  /// The whole Δ vector. Only available in 64-bit width (the narrow mode
+  /// The whole Δ vector. Only available in 64-bit width (the 32-bit width
   /// stores int32 and cannot alias it as Energy) — ABSQ_CHECKs otherwise.
   /// Hot-path callers use delta()/argmin_window(), which work in any mode.
   [[nodiscard]] std::span<const Energy> deltas() const;
@@ -176,6 +201,9 @@ class DeltaState {
 
   template <class D>
   BitIndex argmin_span(const D* deltas, BitIndex offset, BitIndex len) const;
+  template <class D>
+  BitIndex argmin_window_simd(const D* deltas, BitIndex offset,
+                              BitIndex first, BitIndex rest) const;
 
   const WeightMatrix* w_;
   const SparseWeightMatrix* sparse_ = nullptr;  // non-null iff form_ sparse
@@ -191,6 +219,7 @@ class DeltaState {
   std::uint64_t matrix_reads_ = 0;
   KernelForm form_ = KernelForm::kDenseScalar;
   DeltaWidth width_ = DeltaWidth::kWide64;
+  KernelIsa isa_ = KernelIsa::kPortable;  // dense-simd form only
 };
 
 }  // namespace absq

@@ -30,6 +30,42 @@ const char* to_string(DeltaWidth width) {
   return "?";
 }
 
+const char* to_string(KernelIsa isa) {
+  switch (isa) {
+    case KernelIsa::kPortable:
+      return "portable";
+    case KernelIsa::kAvx2:
+      return "avx2";
+    case KernelIsa::kX86_64_V4:
+      return "x86-64-v4";
+  }
+  return "?";
+}
+
+std::vector<KernelIsa> runnable_isas() {
+  std::vector<KernelIsa> isas{KernelIsa::kPortable};
+#if defined(__x86_64__)
+  // Probes the CPU and the OS (XCR0 state saving) — the same conditions
+  // under which the target-attributed variants in delta_state.cpp may run.
+  // x86-64-v4 is checked feature by feature so the probe does not depend
+  // on the compiler knowing the level names.
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx2")) {
+    isas.push_back(KernelIsa::kAvx2);
+    if (__builtin_cpu_supports("fma") && __builtin_cpu_supports("bmi") &&
+        __builtin_cpu_supports("bmi2") &&
+        __builtin_cpu_supports("avx512f") &&
+        __builtin_cpu_supports("avx512bw") &&
+        __builtin_cpu_supports("avx512cd") &&
+        __builtin_cpu_supports("avx512dq") &&
+        __builtin_cpu_supports("avx512vl")) {
+      isas.push_back(KernelIsa::kX86_64_V4);
+    }
+  }
+#endif
+  return isas;
+}
+
 KernelOptions::Form parse_kernel_form(const std::string& name) {
   if (name == "auto") return KernelOptions::Form::kAuto;
   if (name == "dense") return KernelOptions::Form::kDense;
@@ -73,6 +109,8 @@ Energy QuboKernel::worst_case_delta_bound(const WeightMatrix& w) {
 
 QuboKernel::QuboKernel(const WeightMatrix& w, const KernelOptions& options)
     : w_(&w), options_(options) {
+  static const KernelIsa kHostIsa = runnable_isas().back();
+  isa_ = kHostIsa;
   const BitIndex n = w.size();
   // One O(n²) analysis pass; instances are planned once and searched for
   // billions of flips, so this never shows up in a profile.
@@ -83,6 +121,17 @@ QuboKernel::QuboKernel(const WeightMatrix& w, const KernelOptions& options)
     }
   }
   delta_bound_ = worst_case_delta_bound(w);
+
+  if (options.narrow_delta) {
+    const Energy limit =
+        std::min<Energy>(options.narrow_limit,
+                         std::numeric_limits<std::int32_t>::max());
+    if (delta_bound_ <= limit) {
+      width_ = DeltaWidth::kNarrow32;
+    } else {
+      narrow_fallback_ = true;  // provably unsafe → 64-bit
+    }
+  }
 
   switch (options.form) {
     case KernelOptions::Form::kDense:
@@ -95,8 +144,7 @@ QuboKernel::QuboKernel(const WeightMatrix& w, const KernelOptions& options)
       form_ = KernelForm::kSparse;
       break;
     case KernelOptions::Form::kAuto:
-      form_ = (n >= options.sparse_min_bits &&
-               density() <= options.sparse_density_threshold)
+      form_ = sparse_pays_off(n, nonzeros_, isa_, width_)
                   ? KernelForm::kSparse
                   : KernelForm::kDenseSimd;
       break;
@@ -104,17 +152,31 @@ QuboKernel::QuboKernel(const WeightMatrix& w, const KernelOptions& options)
   if (form_ == KernelForm::kSparse) {
     sparse_ = std::make_shared<const SparseWeightMatrix>(w);
   }
+}
 
-  if (options.narrow_delta) {
-    const Energy limit =
-        std::min<Energy>(options.narrow_limit,
-                         std::numeric_limits<std::int32_t>::max());
-    if (delta_bound_ <= limit) {
-      width_ = DeltaWidth::kNarrow32;
-    } else {
-      narrow_fallback_ = true;  // requested but provably unsafe → 64-bit
-    }
-  }
+bool QuboKernel::sparse_pays_off(BitIndex n, std::size_t nonzeros,
+                                 KernelIsa isa, DeltaWidth width) {
+  // Per-flip costs in picoseconds, measured with bench_kernels-style
+  // flip_tracked loops on Max-Cut instances (EXPERIMENTS.md, "Kernel
+  // crossover after ISA dispatch"). Dense-simd pays per bit of the row,
+  // by [isa][width]; the CSR kernel pays a fixed tournament-tree cost plus
+  // a cost per stored entry of the row.
+  constexpr std::uint64_t kDensePsPerBit[3][2] = {
+      {1750, 800},  // portable: 64-bit, 32-bit
+      {1050, 420},  // avx2
+      {450, 250},   // x86-64-v4
+  };
+  constexpr std::uint64_t kSparsePsPerFlip = 300000;
+  constexpr std::uint64_t kSparsePsPerEntry = 35000;
+  // Both sides times n, so the average degree nonzeros / n needs no
+  // division: 2·(F + E·nnz/n) ≤ D·n  ⇔  2·(F·n + E·nnz) ≤ D·n².
+  const std::uint64_t bits = n;
+  const std::uint64_t dense = kDensePsPerBit[static_cast<int>(isa)]
+                                            [static_cast<int>(width)] *
+                              bits * bits;
+  const std::uint64_t sparse =
+      2 * (kSparsePsPerFlip * bits + kSparsePsPerEntry * nonzeros);
+  return sparse <= dense;
 }
 
 double QuboKernel::density() const {
@@ -126,6 +188,7 @@ double QuboKernel::density() const {
 std::string QuboKernel::description() const {
   std::ostringstream os;
   os << to_string(form_) << '/' << to_string(width_);
+  if (form_ == KernelForm::kDenseSimd) os << " [" << to_string(isa_) << ']';
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.2f", density() * 100.0);
   os << " (n=" << w_->size() << ", density " << buf << "%, |delta|<="

@@ -13,28 +13,34 @@
 //   * kDenseScalar — the original fused single-pass loop; the reference
 //                    the other forms are pinned bit-identical against.
 //
-// Orthogonally, Δ values are stored 64-bit (always safe: |Δ| < 2^32 for
-// in-range instances, see qubo/types.hpp) or — opt-in, QUBO++'s ABS3
-// narrow-coefficient mode — 32-bit. Unlike ABS3, whose "overflow checks
-// are omitted for performance", the narrow mode here is guarded by a
-// one-time worst-case precheck at plan time:
+// Orthogonally, Δ values are stored 32-bit — QUBO++'s ABS3 narrow-
+// coefficient mode, twice the lanes per vector — or 64-bit (always safe:
+// |Δ| < 2^32 for in-range instances, see qubo/types.hpp). Unlike ABS3,
+// whose "overflow checks are omitted for performance", the narrow width is
+// guarded by a one-time worst-case precheck at plan time:
 //
 //     max_X |Δ_k(X)| = max(W_kk + 2·Σ_{i≠k} max(W_ki, 0),
 //                          −W_kk + 2·Σ_{i≠k} max(−W_ki, 0))  =: B_k,
 //
 // so if max_k B_k fits int32 no reachable Δ (or repair intermediate — each
-// repair step lands on a Δ of a reachable state) can overflow; otherwise
-// the plan silently falls back to 64-bit. Every form × width combination
-// produces bit-identical energies, Δ vectors and flip outcomes — pinned by
-// the lockstep property tests — so kernel selection is purely a
-// performance decision. docs/kernels.md records selection rules and the
-// measured crossover.
+// repair step lands on a Δ of a reachable state) can overflow and the plan
+// picks 32-bit; otherwise it falls back to 64-bit.
+//
+// The dense-SIMD passes are compiled once per instruction set (KernelIsa)
+// with GCC target attributes, and the plan picks the best variant the
+// host CPU runs — the build itself stays portable (no -march).
+//
+// Every form × width × ISA combination produces bit-identical energies, Δ
+// vectors and flip outcomes — pinned by the lockstep property tests — so
+// kernel selection is purely a performance decision. docs/kernels.md
+// records selection rules and the measured crossover.
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "qubo/sparse_matrix.hpp"
 #include "qubo/types.hpp"
@@ -52,40 +58,44 @@ enum class KernelForm : std::uint8_t {
 /// Storage width of the Δ vector.
 enum class DeltaWidth : std::uint8_t {
   kWide64 = 0,   ///< int64 (always safe)
-  kNarrow32 = 1, ///< int32 (opt-in; only when the precheck proves it safe)
+  kNarrow32 = 1, ///< int32 (default wherever the precheck proves it safe)
+};
+
+/// Instruction set the dense-SIMD passes were compiled for.
+enum class KernelIsa : std::uint8_t {
+  kPortable = 0,  ///< the build's baseline (SSE2 on x86-64)
+  kAvx2 = 1,      ///< AVX2
+  kX86_64_V4 = 2, ///< x86-64-v4: AVX2 plus AVX-512 F/BW/CD/DQ/VL
 };
 
 [[nodiscard]] const char* to_string(KernelForm form);
 [[nodiscard]] const char* to_string(DeltaWidth width);
+[[nodiscard]] const char* to_string(KernelIsa isa);
+
+/// Every KernelIsa variant this CPU can run, in ascending order:
+/// kPortable first, the best one last. Non-x86-64 builds have only
+/// kPortable.
+[[nodiscard]] std::vector<KernelIsa> runnable_isas();
 
 struct KernelOptions {
   enum class Form : std::uint8_t {
-    kAuto = 0,    ///< sparse when profitable, dense-SIMD otherwise
+    kAuto = 0,    ///< sparse when profitable, dense-SIMD otherwise (see
+                  ///< QuboKernel::sparse_pays_off)
     kDense = 1,   ///< force the scalar dense reference kernel
     kDenseSimd = 2,
     kSparse = 3,
   };
   Form form = Form::kAuto;
 
-  /// Opt-in 32-bit Δ mode. Applied only when the worst-case precheck
-  /// proves every reachable Δ fits (see QuboKernel::delta_bound); falls
-  /// back to 64-bit otherwise.
-  bool narrow_delta = false;
+  /// 32-bit Δ wherever the worst-case precheck proves every reachable Δ
+  /// fits (see QuboKernel::delta_bound), 64-bit otherwise. Tests and
+  /// benches set it to false to force the 64-bit width.
+  bool narrow_delta = true;
 
   /// Largest |Δ| the narrow mode may represent. The default is the honest
   /// int32 limit; tests lower it to exercise both sides of the precheck
   /// without building 2 GiB instances.
   Energy narrow_limit = std::numeric_limits<std::int32_t>::max();
-
-  /// kAuto picks the sparse form when stored-nonzeros/n² is at or below
-  /// this. Default from the measured crossover in EXPERIMENTS.md: with the
-  /// early-exit tournament tree the CSR kernel wins ~3× at 1% density
-  /// (G22) and loses at 6% (G1), so the break-even sits near 3%.
-  double sparse_density_threshold = 0.03125;
-
-  /// kAuto never picks sparse below this size — for tiny instances the
-  /// tournament tree costs more than the dense row it replaces.
-  BitIndex sparse_min_bits = 64;
 };
 
 [[nodiscard]] KernelOptions::Form parse_kernel_form(const std::string& name);
@@ -109,6 +119,9 @@ class QuboKernel {
 
   [[nodiscard]] KernelForm form() const { return form_; }
   [[nodiscard]] DeltaWidth width() const { return width_; }
+  /// The dense-SIMD variant states of this plan run: the best entry of
+  /// runnable_isas(), probed once per process.
+  [[nodiscard]] KernelIsa isa() const { return isa_; }
   [[nodiscard]] const KernelOptions& options() const { return options_; }
 
   /// max_k B_k — the worst-case |Δ| over every reachable state, the value
@@ -121,12 +134,22 @@ class QuboKernel {
   [[nodiscard]] std::size_t stored_nonzeros() const { return nonzeros_; }
   [[nodiscard]] double density() const;
 
-  /// e.g. "sparse/32-bit (density 0.59%, |Δ| ≤ 123456)" — for logs/benches.
+  /// e.g. "dense-simd/32-bit [x86-64-v4] (n=1024, density 100.00%,
+  /// |delta|<=18774775)" — for logs/benches. The ISA is named for the
+  /// dense-simd form only, the one form compiled per ISA.
   [[nodiscard]] std::string description() const;
 
   /// The precheck bound max_k B_k (see the file comment) — the exact
   /// maximum of |Δ_k(X)| over every k and X. Exposed for boundary tests.
   [[nodiscard]] static Energy worst_case_delta_bound(const WeightMatrix& w);
+
+  /// kAuto's form rule: true when the CSR kernel's predicted per-flip
+  /// cost for an n-bit instance with `nonzeros` stored entries is at most
+  /// half that of the dense-simd kernel in `isa` and `width`. The
+  /// per-bit and per-entry costs are measured constants (EXPERIMENTS.md);
+  /// the 2× margin is the one scripts/perfgate.sh holds sparse picks to.
+  [[nodiscard]] static bool sparse_pays_off(BitIndex n, std::size_t nonzeros,
+                                            KernelIsa isa, DeltaWidth width);
 
  private:
   const WeightMatrix* w_;
@@ -134,6 +157,7 @@ class QuboKernel {
   std::shared_ptr<const SparseWeightMatrix> sparse_;
   KernelForm form_ = KernelForm::kDenseScalar;
   DeltaWidth width_ = DeltaWidth::kWide64;
+  KernelIsa isa_ = KernelIsa::kPortable;
   Energy delta_bound_ = 0;
   std::size_t nonzeros_ = 0;
   bool narrow_fallback_ = false;

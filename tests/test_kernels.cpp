@@ -7,12 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "problems/random.hpp"
 #include "qubo/delta_state.hpp"
 #include "qubo/energy.hpp"
 #include "qubo/sparse_matrix.hpp"
@@ -133,13 +135,60 @@ TEST(SparseMatrix, BuilderBuildSparseMatchesBuild) {
 // ---------------------------------------------------------------------------
 
 TEST(QuboKernel, AutoSelectsSparseForLargeLowDensityInstances) {
-  const WeightMatrix w = random_sparse(128, 0.01, 31);
+  // ~2 stored entries per row out of 4096: the CSR kernel wins by more
+  // than 2× on every ISA, even against the fastest dense-simd variant.
+  const WeightMatrix w = random_sparse(4096, 0.0005, 31);
   const QuboKernel kernel(w);
   EXPECT_EQ(kernel.form(), KernelForm::kSparse);
   ASSERT_NE(kernel.sparse(), nullptr);
   EXPECT_EQ(kernel.sparse()->size(), w.size());
-  EXPECT_EQ(kernel.width(), DeltaWidth::kWide64);  // narrow is opt-in
-  EXPECT_LE(kernel.density(), kernel.options().sparse_density_threshold);
+  EXPECT_EQ(kernel.width(), DeltaWidth::kNarrow32);  // int32 is the default
+  EXPECT_TRUE(QuboKernel::sparse_pays_off(w.size(), kernel.stored_nonzeros(),
+                                          KernelIsa::kX86_64_V4,
+                                          DeltaWidth::kNarrow32));
+}
+
+TEST(QuboKernel, DefaultPlanOfTheDenseBenchmarkInstanceIsSimd32) {
+  const WeightMatrix w = random_qubo(1024, 2020);
+  const QuboKernel kernel(w);
+  EXPECT_EQ(kernel.form(), KernelForm::kDenseSimd);
+  EXPECT_EQ(kernel.width(), DeltaWidth::kNarrow32);
+  EXPECT_FALSE(kernel.narrow_fallback());
+  EXPECT_EQ(kernel.isa(), runnable_isas().back());
+  const std::string text = kernel.description();
+  EXPECT_EQ(text.rfind(std::string("dense-simd/32-bit [") +
+                           to_string(kernel.isa()) + "]",
+                       0),
+            0u)
+      << text;
+}
+
+TEST(QuboKernel, SparseRuleTracksTheDenseKernelSpeed) {
+  // G22-like (n = 2000, ~21 entries per row): the CSR kernel beats the
+  // 64-bit SSE2 pass by 2× but not the int32 AVX-512 one.
+  const std::size_t g22_nonzeros = 2000 * 21;
+  EXPECT_TRUE(QuboKernel::sparse_pays_off(2000, g22_nonzeros,
+                                          KernelIsa::kPortable,
+                                          DeltaWidth::kWide64));
+  EXPECT_FALSE(QuboKernel::sparse_pays_off(2000, g22_nonzeros,
+                                           KernelIsa::kX86_64_V4,
+                                           DeltaWidth::kNarrow32));
+  // Tiny instances stay dense whatever their density: the tree's fixed
+  // per-flip cost exceeds a whole dense row.
+  for (const KernelIsa isa :
+       {KernelIsa::kPortable, KernelIsa::kAvx2, KernelIsa::kX86_64_V4}) {
+    EXPECT_FALSE(
+        QuboKernel::sparse_pays_off(32, 32, isa, DeltaWidth::kWide64));
+  }
+}
+
+TEST(QuboKernel, RunnableIsasStartPortableAndAscend) {
+  const std::vector<KernelIsa> isas = runnable_isas();
+  ASSERT_FALSE(isas.empty());
+  EXPECT_EQ(isas.front(), KernelIsa::kPortable);
+  for (std::size_t i = 1; i < isas.size(); ++i) {
+    EXPECT_LT(isas[i - 1], isas[i]);
+  }
 }
 
 TEST(QuboKernel, AutoKeepsDenseInstancesOnSimd) {
@@ -207,8 +256,7 @@ TEST(QuboKernel, NarrowPrecheckStraddlesTheLimit) {
   const Energy bound = QuboKernel::worst_case_delta_bound(w);
   ASSERT_GT(bound, 0);
 
-  KernelOptions options;
-  options.narrow_delta = true;
+  KernelOptions options;  // default: narrow wherever the precheck passes
   options.narrow_limit = bound;  // exactly representable → narrow engages
   const QuboKernel at_limit(w, options);
   EXPECT_EQ(at_limit.width(), DeltaWidth::kNarrow32);
@@ -231,7 +279,8 @@ TEST(QuboKernel, DescriptionNamesFormAndWidth) {
   KernelOptions options;
   options.form = KernelOptions::Form::kSparse;
   options.narrow_delta = true;
-  const QuboKernel kernel(random_sparse(64, 0.05, 45), options);
+  const WeightMatrix w = random_sparse(64, 0.05, 45);  // must outlive the plan
+  const QuboKernel kernel(w, options);
   const std::string text = kernel.description();
   EXPECT_NE(text.find("sparse"), std::string::npos) << text;
   EXPECT_NE(text.find("32-bit"), std::string::npos) << text;
@@ -428,6 +477,108 @@ TEST(KernelLockstep, NarrowLanesAgreeEitherSideOfThePrecheck) {
     ASSERT_EQ(wide_got.energy, expected.energy) << "step " << step;
     ASSERT_EQ(wide_got.best_neighbor_bit, expected.best_neighbor_bit);
     ASSERT_EQ(wide_got.best_neighbor_energy, expected.best_neighbor_energy);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// ISA lockstep: every dense-simd pass variant the host can run, in both
+// widths, drives its own Δ lane against the scalar reference.
+// ---------------------------------------------------------------------------
+
+template <class D>
+void run_isa_lane(const WeightMatrix& w, const BitVector& start,
+                  KernelIsa isa, const std::vector<BitIndex>& flips) {
+  const BitIndex n = w.size();
+  const DenseSimdPasses<D>& passes = dense_simd_passes<D>(isa);
+  const std::string lane = std::string(to_string(isa)) + "/" +
+                           std::to_string(sizeof(D) * 8) + "-bit n=" +
+                           std::to_string(n);
+  DeltaState reference(w, start);  // legacy ctor: dense scalar/64
+  std::vector<D> deltas(n);
+  std::vector<std::int8_t> signs(n);
+  for (BitIndex i = 0; i < n; ++i) {
+    deltas[i] = static_cast<D>(reference.delta(i));
+    signs[i] = static_cast<std::int8_t>(phi(start.get(i)));
+  }
+  Energy energy = reference.energy();
+
+  for (std::size_t step = 0; step < flips.size(); ++step) {
+    const BitIndex k = flips[step];
+    const Energy old_delta_k = static_cast<Energy>(deltas[k]);
+    passes.repair(deltas.data(), w.row(k).data(), signs.data(), 2 * signs[k],
+                  n);
+    deltas[k] = static_cast<D>(-old_delta_k);
+    signs[k] = static_cast<std::int8_t>(-signs[k]);
+    energy += old_delta_k;
+    const auto expected = reference.flip_tracked(k);
+
+    ASSERT_EQ(energy, expected.energy) << lane << " step " << step;
+    for (BitIndex i = 0; i < n; ++i) {
+      ASSERT_EQ(static_cast<Energy>(deltas[i]), reference.delta(i))
+          << lane << " step " << step << " Δ_" << i;
+    }
+    // Best neighbour: leftmost min over [0, k) ++ (k, n).
+    const std::size_t pos = passes.leftmost_min(deltas.data(), k,
+                                                deltas.data() + k + 1,
+                                                std::size_t{n} - k - 1);
+    if (n == 1) {
+      ASSERT_EQ(pos, 0u) << lane;  // both segments empty
+    } else {
+      const auto bit = static_cast<BitIndex>(pos < k ? pos : pos + 1);
+      ASSERT_EQ(bit, expected.best_neighbor_bit)
+          << lane << " step " << step << " flipped " << k;
+      ASSERT_EQ(energy + static_cast<Energy>(deltas[bit]),
+                expected.best_neighbor_energy)
+          << lane << " step " << step;
+    }
+    // A wrapping window [offset, offset + first) ++ [0, rest), as
+    // argmin_window scans it, placed and sized from k so it varies.
+    const BitIndex offset = (k * 7 + 3) % n;
+    const BitIndex len = 1 + (k + n / 2) % n;
+    const BitIndex first = std::min(len, n - offset);
+    const std::size_t at = passes.leftmost_min(
+        deltas.data() + offset, first, deltas.data(), len - first);
+    const auto window_bit =
+        static_cast<BitIndex>(at < first ? offset + at : at - first);
+    ASSERT_EQ(window_bit, reference.argmin_window(offset, len))
+        << lane << " step " << step << " window (" << offset << ", " << len
+        << ")";
+  }
+}
+
+TEST(KernelLockstep, EveryIsaVariantMatchesTheScalarReference) {
+  for (const BitIndex n :
+       {1u, 2u, 15u, 16u, 17u, 31u, 33u, 63u, 65u, 1023u, 1025u}) {
+    // Wide weights, and weights in [-2, 2] whose Δ values tie constantly,
+    // so the leftmost tie-break is exercised across vector chunks.
+    Rng weights(950 + n);
+    const WeightMatrix tiny =
+        WeightMatrix::generate_symmetric(n, [&weights](BitIndex, BitIndex) {
+          return static_cast<Weight>(weights.range(-2, 2));
+        });
+    const WeightMatrix wide = random_dense(n, 960 + n);
+    Rng rng(970 + n);
+    const BitVector start = BitVector::random(n, rng);
+    // Flip indices on vector-lane boundaries (4, 8 and 16 lanes), then
+    // random ones.
+    std::vector<BitIndex> flips;
+    for (const BitIndex k :
+         {0u, 1u, 3u, 4u, 7u, 8u, 15u, 16u, 31u, 32u, 47u, 48u, 63u, 64u}) {
+      if (k < n) flips.push_back(k);
+    }
+    if (n >= 2) flips.push_back(n - 2);
+    flips.push_back(n - 1);
+    for (int i = 0; i < 40; ++i) {
+      flips.push_back(static_cast<BitIndex>(rng.below(n)));
+    }
+    for (const KernelIsa isa : runnable_isas()) {
+      for (const WeightMatrix* w : {&wide, &tiny}) {
+        ASSERT_NO_FATAL_FAILURE(
+            run_isa_lane<std::int32_t>(*w, start, isa, flips));
+        ASSERT_NO_FATAL_FAILURE(
+            run_isa_lane<std::int64_t>(*w, start, isa, flips));
+      }
+    }
   }
 }
 

@@ -110,10 +110,20 @@ TEST(AbsSolver, MultiDeviceRunAggregatesAllDevices) {
     per_device_total += solver.device(d).total_flips();
   }
   EXPECT_EQ(per_device_total, result.total_flips);
-  // All devices contributed.
+
+  // "Every device contributed" is a scheduling property, so it is asserted
+  // in step mode, where each round steps every device: under run() a flip
+  // budget can end before the last device's first iteration.
+  AbsConfig stepped = small_config(3, 2);
+  stepped.device.threads_per_device = 1;
+  AbsSolver step_solver(w, stepped);
+  const AbsResult rounds = step_solver.run_rounds(3);
+  std::uint64_t stepped_total = 0;
   for (std::uint32_t d = 0; d < 3; ++d) {
-    EXPECT_GT(solver.device(d).total_flips(), 0u) << "device " << d;
+    EXPECT_GT(step_solver.device(d).total_flips(), 0u) << "device " << d;
+    stepped_total += step_solver.device(d).total_flips();
   }
+  EXPECT_EQ(stepped_total, rounds.total_flips);
 }
 
 TEST(AbsSolver, BestTraceIsMonotoneDecreasing) {
