@@ -1,16 +1,16 @@
 // Serving-layer latency benchmark: admission p50/p99 under pipelined
 // clients.
 //
-// Boots an in-process JobServer (loopback, ephemeral port) over a
-// JobManager with a few solver slots, then drives it with N concurrent
-// clients, each submitting a stream of small jobs over one keep-alive
-// connection and timing every submit round-trip (request written →
-// "ok" reply parsed). That round-trip is the *admission* latency — what
-// a caller waits before regaining control — and is the serving-layer
-// number the perf-trajectory rail tracks: it must stay flat while the
-// solver slots are saturated, because admission only touches the queue,
-// never the solvers. The committed snapshot lives in BENCH_serve.json;
-// scripts/perfgate.sh diffs `p99_ms` against it.
+// Boots an in-process job-port Listener (line framing, loopback, ephemeral
+// port) over a JobManager with a few solver slots, then drives it with N
+// concurrent clients, each submitting a stream of small jobs over one
+// keep-alive connection and timing every submit round-trip (request
+// written → "ok" reply parsed). That round-trip is the *admission*
+// latency — what a caller waits before regaining control — and is the
+// serving-layer number the perf-trajectory rail tracks: it must stay flat
+// while the solver slots are saturated, because admission only touches
+// the queue, never the solvers. The committed snapshot lives in
+// BENCH_serve.json; scripts/perfgate.sh diffs `p99_ms` against it.
 //
 //   ./bench/bench_serve_latency [--clients 4] [--jobs 25] [--bits 32]
 //                               [--report BENCH_serve.json]
@@ -24,11 +24,12 @@
 #include <vector>
 
 #include "obs/json_text.hpp"
+#include "obs/listener.hpp"
 #include "problems/random.hpp"
 #include "qubo/io.hpp"
 #include "serve/client.hpp"
 #include "serve/job_manager.hpp"
-#include "serve/job_server.hpp"
+#include "serve/protocol.hpp"
 #include "util/check.hpp"
 #include "util/cli.hpp"
 #include "util/stopwatch.hpp"
@@ -79,9 +80,12 @@ int main(int argc, char** argv) {
       16;
   manager_config.solver.device.block_limit = 2;
   absq::serve::JobManager manager(manager_config);
-  absq::serve::JobServerConfig server_config;
-  server_config.port = 0;
-  absq::serve::JobServer server(manager, server_config);
+  absq::obs::ListenerConfig server_config;
+  server_config.framing = absq::obs::Framing::kLine;
+  server_config.on_line = [&manager](const std::string& line) {
+    return absq::serve::handle_request_line(manager, line).reply.dump();
+  };
+  absq::obs::Listener server(std::move(server_config));
   server.start();
 
   std::printf("serve latency: %d clients x %d jobs, %u-bit instances, "

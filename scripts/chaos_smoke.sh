@@ -39,6 +39,7 @@ mkdir "$WORK/ck"
 # Sets SERVER_PID and PORT.
 start_server() {
   local log="$1"; shift
+  : > "$log"  # exists before the port poll below reads it
   "$SERVE" --port 0 --solvers 2 --max-queue 16 \
     --checkpoint-dir "$WORK/ck" --checkpoint-interval 0.2 \
     --log-level info "$@" > "$log" 2>&1 &

@@ -45,6 +45,12 @@ AdaptiveController::AdaptiveController(const Config& config)
 std::uint32_t AdaptiveController::register_block(std::uint32_t device,
                                                  std::uint32_t block) {
   const auto arm = (device + block) % num_arms();
+  if (device >= block_index_.size()) block_index_.resize(device + 1);
+  std::vector<std::uint32_t>& slots = block_index_[device];
+  if (block >= slots.size()) slots.resize(block + 1, kUnregistered);
+  if (slots[block] == kUnregistered) {
+    slots[block] = static_cast<std::uint32_t>(blocks_.size());
+  }
   blocks_.push_back({device, block, arm});
   ++arms_[arm].blocks;
   if (!m_island_blocks_.empty()) {
@@ -57,8 +63,10 @@ std::uint32_t AdaptiveController::register_block(std::uint32_t device,
 
 std::uint32_t AdaptiveController::arm_of(std::uint32_t device,
                                          std::uint32_t block) const {
-  for (const BlockRef& ref : blocks_) {
-    if (ref.device == device && ref.block == block) return ref.arm;
+  if (device < block_index_.size() &&
+      block < block_index_[device].size() &&
+      block_index_[device][block] != kUnregistered) {
+    return blocks_[block_index_[device][block]].arm;
   }
   // A report from an unregistered block (a restarted device grew — cannot
   // happen with a fixed config, but stay total): the striped default.

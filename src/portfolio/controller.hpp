@@ -103,9 +103,15 @@ class AdaptiveController {
     std::uint32_t arm = 0;
   };
 
+  static constexpr std::uint32_t kUnregistered = ~std::uint32_t{0};
+
   Config config_;
   std::vector<Arm> arms_;
+  /// Registration order — the reallocation draw order.
   std::vector<BlockRef> blocks_;
+  /// (device, block) → index into blocks_: one offset vector per device,
+  /// so arm_of is O(1) on the host loop's per-report path.
+  std::vector<std::vector<std::uint32_t>> block_index_;
   Rng rng_;
   std::uint64_t rounds_ = 0;
   std::uint64_t reassignments_ = 0;

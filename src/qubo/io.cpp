@@ -1,13 +1,47 @@
 #include "qubo/io.hpp"
 
+#include <cctype>
+#include <charconv>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "util/check.hpp"
 
 namespace absq {
+namespace {
+
+// Entry fields are read the way `istream >> long long` reads them in the
+// classic locale, without an istringstream per line (whose construction
+// dominated parsing small instances, e.g. every inline job submit).
+
+const char* skip_space(const char* at, const char* end) {
+  while (at != end && std::isspace(static_cast<unsigned char>(*at)) != 0) {
+    ++at;
+  }
+  return at;
+}
+
+/// Leading whitespace, an optional sign, decimal digits; false when no
+/// in-range integer starts there. Advances `at` past the integer.
+bool next_int(const char*& at, const char* end, long long& out) {
+  const char* first = skip_space(at, end);
+  if (first != end && *first == '+') {
+    ++first;
+    if (first == end || std::isdigit(static_cast<unsigned char>(*first)) == 0) {
+      return false;
+    }
+  }
+  const auto [ptr, error] = std::from_chars(first, end, out);
+  if (error != std::errc()) return false;
+  at = ptr;
+  return true;
+}
+
+}  // namespace
 
 void write_qubo(std::ostream& out, const WeightMatrix& w,
                 const std::string& comment) {
@@ -58,18 +92,24 @@ WeightMatrix read_qubo(std::istream& in) {
   ABSQ_CHECK(have_header, "missing 'qubo <n>' header");
 
   WeightMatrixBuilder builder(n);
+  // Duplicate check: while entries arrive in strictly increasing (i, j)
+  // order — as write_qubo emits them — none can repeat an earlier one, so
+  // they are only collected; the first out-of-order entry moves them into
+  // a set that checks every later entry.
+  std::vector<std::pair<BitIndex, BitIndex>> ascending;
   std::set<std::pair<BitIndex, BitIndex>> seen;
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty() || line[0] == '#') continue;
-    std::istringstream fields(line);
+    const char* at = line.data();
+    const char* const end = at + line.size();
     long long i = 0;
     long long j = 0;
     long long v = 0;
-    ABSQ_CHECK(static_cast<bool>(fields >> i >> j >> v),
+    ABSQ_CHECK(next_int(at, end, i) && next_int(at, end, j) &&
+                   next_int(at, end, v),
                "line " << line_no << ": expected '<i> <j> <w>'");
-    std::string rest;
-    ABSQ_CHECK(!(fields >> rest),
+    ABSQ_CHECK(skip_space(at, end) == end,
                "line " << line_no << ": trailing tokens after entry");
     ABSQ_CHECK(i >= 0 && j >= 0 && i < n && j < n,
                "line " << line_no << ": index out of range for n=" << n);
@@ -79,9 +119,17 @@ WeightMatrix read_qubo(std::istream& in) {
                "line " << line_no << ": weight " << v << " outside 16-bit");
     const auto bi = static_cast<BitIndex>(i);
     const auto bj = static_cast<BitIndex>(j);
-    ABSQ_CHECK(seen.emplace(bi, bj).second,
-               "line " << line_no << ": duplicate entry (" << i << ", " << j
-                       << ")");
+    const std::pair<BitIndex, BitIndex> entry{bi, bj};
+    bool fresh = true;
+    if (seen.empty() && (ascending.empty() || ascending.back() < entry)) {
+      ascending.push_back(entry);
+    } else {
+      seen.insert(ascending.begin(), ascending.end());
+      ascending.clear();
+      fresh = seen.insert(entry).second;
+    }
+    ABSQ_CHECK(fresh, "line " << line_no << ": duplicate entry (" << i
+                              << ", " << j << ")");
     // A symmetric entry pair (W_ij, W_ji) contributes 2·W_ij to the pair
     // coefficient of x_i·x_j; the builder splits it back evenly.
     builder.add(bi, bj, bi == bj ? v : 2 * v);

@@ -32,7 +32,8 @@
 //
 // The dispatcher lives here, decoupled from sockets, so the whole protocol
 // is unit-testable in-process (tests/test_protocol.cpp) and the TCP layer
-// (job_server.cpp) stays a dumb line pump. Full spec: docs/serving.md.
+// (a line-framed obs::Listener) stays a dumb line pump. Full spec:
+// docs/serving.md.
 #pragma once
 
 #include <string>
@@ -47,8 +48,8 @@ namespace absq::serve {
 /// Outcome of one request line.
 struct ProtocolReply {
   Json reply;
-  /// True when the request was a `shutdown` — the transport layer replies
-  /// first, then begins the drain.
+  /// True when the request was a `shutdown` — the owner latches it, and
+  /// begins the drain after the reply is sent.
   bool shutdown = false;
 };
 

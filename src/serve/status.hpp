@@ -14,7 +14,7 @@
 //     device=...}), giving each running job a devices array.
 //
 // The function is deliberately free of HTTP concerns: absq_serve binds it
-// into HttpExporterConfig::status as a lambda, tests call it directly.
+// into ListenerConfig::status as a lambda, tests call it directly.
 #pragma once
 
 #include <string>

@@ -34,12 +34,14 @@
 //                         files (simulates a crash during a write)
 //   journal.append        thrown before a job-journal record is written —
 //                         the submission must NOT be acknowledged
-//   serve.accept          drops a freshly accepted connection (client
+//   serve.accept          drops a connection freshly accepted by a
+//                         line-framed obs::Listener, the job port (client
 //                         sees a reset before any request)
-//   serve.read            kills the connection before a recv (request
-//                         lost mid-flight)
-//   serve.write           drops the reply after the request took effect —
-//                         the ambiguous outcome idempotent retries solve
+//   serve.read            kills a job-port connection before a recv
+//                         (request lost mid-flight)
+//   serve.write           drops a job-port reply after the request took
+//                         effect — the ambiguous outcome idempotent
+//                         retries solve
 #pragma once
 
 #include <atomic>

@@ -1,21 +1,24 @@
-// End-to-end tests of the TCP transport: real sockets on an ephemeral
-// loopback port, the Client library on one side and a JobServer-backed
-// JobManager on the other. TSan tier-1 target (scripts/check.sh).
-#include "serve/job_server.hpp"
-
+// End-to-end tests of the job server's TCP transport: real sockets on an
+// ephemeral loopback port, the Client library on one side and a
+// line-framed obs::Listener wired to handle_request_line (as absq_serve
+// wires it) over a JobManager on the other. TSan tier-2 target
+// (scripts/check.sh).
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/listener.hpp"
 #include "obs/metrics.hpp"
 #include "problems/random.hpp"
 #include "qubo/io.hpp"
@@ -52,10 +55,27 @@ Json submit_request(std::uint64_t max_flips = 20000) {
   return request;
 }
 
-/// Manager + started server on an ephemeral port.
+/// The job port: line framing, every line to handle_request_line, and a
+/// `shutdown` request latching `shutdown` before its reply is queued.
+obs::ListenerConfig job_port(JobManager& manager, std::atomic<bool>& shutdown,
+                             const obs::MetricsRegistry* metrics) {
+  obs::ListenerConfig config;
+  config.framing = obs::Framing::kLine;
+  config.idle_timeout_seconds = 300.0;
+  config.on_line = [&manager, &shutdown, metrics](const std::string& line) {
+    const ProtocolReply outcome = handle_request_line(manager, line, metrics);
+    if (outcome.shutdown) shutdown.store(true);
+    return outcome.reply.dump();
+  };
+  return config;
+}
+
+/// Manager + started job port on an ephemeral port.
 struct Fixture {
-  explicit Fixture(JobManagerConfig config = small_manager_config())
-      : manager(std::move(config)), server(manager, {}) {
+  explicit Fixture(JobManagerConfig config = small_manager_config(),
+                   const obs::MetricsRegistry* metrics = nullptr)
+      : manager(std::move(config)),
+        server(job_port(manager, shutdown, metrics)) {
     server.start();
   }
   ~Fixture() {
@@ -63,16 +83,22 @@ struct Fixture {
     manager.shutdown(JobManager::Drain::kCancel);
   }
   JobManager manager;
-  JobServer server;
+  std::atomic<bool> shutdown{false};
+  obs::Listener server;
 };
 
 /// A raw line-oriented connection, for speaking broken protocol on purpose
-/// (the Client class refuses to).
+/// (the Client class refuses to). Reads and writes give up after 10 s, so
+/// a server that never answers fails the test instead of hanging it.
 class RawConnection {
  public:
   explicit RawConnection(int port) {
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     EXPECT_GE(fd_, 0);
+    timeval timeout{};
+    timeout.tv_sec = 10;
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -227,30 +253,23 @@ TEST(JobServer, MetricsCommandScrapesSharedRegistry) {
   obs::MetricsRegistry registry;
   JobManagerConfig config = small_manager_config();
   config.telemetry.metrics = &registry;
-  JobManager manager(config);
-  JobServerConfig server_config;
-  server_config.metrics = &registry;
-  JobServer server(manager, server_config);
-  server.start();
-  {
-    Client client("127.0.0.1", server.port());
-    const JobId id = client.submit(submit_request());
-    (void)client.wait(id, 30.0);
-    const std::string text = client.metrics();
-    EXPECT_NE(text.find("absq_jobs_submitted 1"), std::string::npos) << text;
-    EXPECT_NE(text.find("absq_jobs_completed 1"), std::string::npos) << text;
-  }
-  server.stop();
-  manager.shutdown(JobManager::Drain::kCancel);
+  Fixture fixture(config, &registry);
+  Client client("127.0.0.1", fixture.server.port());
+  const JobId id = client.submit(submit_request());
+  (void)client.wait(id, 30.0);
+  const std::string text = client.metrics();
+  EXPECT_NE(text.find("absq_jobs_submitted 1"), std::string::npos) << text;
+  EXPECT_NE(text.find("absq_jobs_completed 1"), std::string::npos) << text;
 }
 
 TEST(JobServer, ShutdownCommandLatchesTheDrain) {
   Fixture fixture;
-  EXPECT_FALSE(fixture.server.shutdown_requested());
+  EXPECT_FALSE(fixture.shutdown.load());
   Client client("127.0.0.1", fixture.server.port());
-  client.shutdown_server();
-  fixture.server.wait_shutdown();  // returns because the latch is set
-  EXPECT_TRUE(fixture.server.shutdown_requested());
+  client.shutdown_server();  // returns once the reply has arrived...
+  EXPECT_TRUE(fixture.shutdown.load());  // ...which follows the latch
+  // The drain starts with the transport: stop() after the reply is fine.
+  fixture.server.stop();
 }
 
 TEST(JobServer, StopIsIdempotent) {
@@ -391,6 +410,70 @@ TEST(JobServer, DeadlineTravelsTheWire) {
   EXPECT_EQ(status.state, JobState::kDeadlineExceeded);
   EXPECT_DOUBLE_EQ(status.deadline_seconds, 0.2);
   EXPECT_TRUE(client.cancel(blocker_id));
+}
+
+// --- bounds: input, connections, threads --------------------------------
+
+TEST(JobServer, OverlongLineGetsBadRequestThenClose) {
+  Fixture fixture;
+  RawConnection raw(fixture.server.port());
+  // A request that never ends: the server buffers up to the line bound,
+  // answers once, and closes instead of growing without limit.
+  const std::string chunk(std::size_t{1} << 20, 'x');
+  for (std::size_t sent = 0; sent < obs::kMaxLineBytes;
+       sent += chunk.size()) {
+    raw.send_text(chunk.substr(0, obs::kMaxLineBytes - sent));
+  }
+  const Json reply = Json::parse(raw.read_line());
+  EXPECT_FALSE(reply.get_bool("ok", true));
+  EXPECT_EQ(reply.get_string("code", ""), "bad_request");
+  EXPECT_EQ(raw.read_line(), "");  // closed
+  Client client("127.0.0.1", fixture.server.port());
+  EXPECT_TRUE(client.ping());
+}
+
+TEST(JobServer, ConnectionsBeyondBoundGetQueueFull) {
+  Fixture fixture;
+  const std::size_t bound = obs::ListenerConfig{}.max_connections;
+  std::vector<std::unique_ptr<RawConnection>> held;
+  for (std::size_t i = 0; i < bound; ++i) {
+    held.push_back(std::make_unique<RawConnection>(fixture.server.port()));
+    held.back()->send_text("{\"cmd\":\"ping\"}\n");
+    ASSERT_TRUE(Json::parse(held.back()->read_line()).get_bool("pong", false));
+  }
+  // One more is turned away at the door with typed backpressure — before
+  // it sends anything (a request racing the close could become an RST).
+  RawConnection extra(fixture.server.port());
+  const Json reply = Json::parse(extra.read_line());
+  EXPECT_FALSE(reply.get_bool("ok", true));
+  EXPECT_EQ(reply.get_string("code", ""), "queue_full");
+  EXPECT_EQ(extra.read_line(), "");  // closed
+  // Freeing a slot admits the next connection.
+  held.pop_back();
+  Client client("127.0.0.1", fixture.server.port());
+  EXPECT_TRUE(client.ping());
+}
+
+std::size_t thread_count() {
+  std::size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(JobServer, IdleConnectionsCostNoThreads) {
+  Fixture fixture;
+  const std::size_t before = thread_count();
+  std::vector<std::unique_ptr<RawConnection>> idle;
+  for (int i = 0; i < 16; ++i) {
+    idle.push_back(std::make_unique<RawConnection>(fixture.server.port()));
+    // A reply proves the server accepted the connection.
+    idle.back()->send_text("{\"cmd\":\"ping\"}\n");
+    ASSERT_TRUE(Json::parse(idle.back()->read_line()).get_bool("pong", false));
+  }
+  EXPECT_EQ(thread_count(), before);
 }
 
 }  // namespace

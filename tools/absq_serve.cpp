@@ -30,12 +30,11 @@
 #include <string>
 #include <thread>
 
-#include "obs/http_exporter.hpp"
+#include "obs/listener.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/job_manager.hpp"
-#include "serve/job_server.hpp"
 #include "serve/protocol.hpp"
 #include "serve/status.hpp"
 #include "util/check.hpp"
@@ -177,23 +176,35 @@ int run(int argc, char** argv) {
 
   absq::serve::JobManager manager(manager_config);
 
-  absq::serve::JobServerConfig server_config;
-  server_config.port = static_cast<int>(port);
-  server_config.idle_timeout_seconds = cli.get_double("idle-timeout");
-  server_config.metrics = &registry;
-  absq::serve::JobServer server(manager, server_config);
-  server.start();
+  // The `shutdown` command's latch: set on the listener thread before the
+  // reply is queued; main polls it below, like the signal flag.
+  std::atomic<bool> shutdown_requested{false};
+  absq::obs::ListenerConfig jobs_config;
+  jobs_config.port = static_cast<int>(port);
+  jobs_config.framing = absq::obs::Framing::kLine;
+  jobs_config.idle_timeout_seconds = cli.get_double("idle-timeout");
+  jobs_config.on_line = [&manager, &registry,
+                         &shutdown_requested](const std::string& line) {
+    const absq::serve::ProtocolReply outcome =
+        absq::serve::handle_request_line(manager, line, &registry);
+    if (outcome.shutdown) shutdown_requested.store(true);
+    return outcome.reply.dump();
+  };
+  absq::obs::Listener jobs(std::move(jobs_config));
+  jobs.start();
 
-  std::unique_ptr<absq::obs::HttpExporter> http;
+  // The HTTP surface gets its own loop, so a scrape never waits behind a
+  // submit's spool, fsync and parse.
+  std::unique_ptr<absq::obs::Listener> http;
   if (http_port >= 0) {
-    absq::obs::HttpExporterConfig http_config;
+    absq::obs::ListenerConfig http_config;
     http_config.port = static_cast<int>(http_port);
     http_config.metrics = &registry;
     http_config.tracer = &tracer;
     http_config.status = [&manager, &registry, &uptime] {
       return absq::serve::status_json(manager, &registry, uptime.seconds());
     };
-    http = std::make_unique<absq::obs::HttpExporter>(std::move(http_config));
+    http = std::make_unique<absq::obs::Listener>(std::move(http_config));
     http->start();
   }
 
@@ -211,7 +222,7 @@ int run(int argc, char** argv) {
         recovered.resumed, recovered.requeued, recovered.expired,
         recovered.lost, recovered.terminal);
   }
-  std::printf("listening on 127.0.0.1:%d\n", server.port());
+  std::printf("listening on 127.0.0.1:%d\n", jobs.port());
   if (http != nullptr) {
     std::printf("http on 127.0.0.1:%d\n", http->port());
   }
@@ -219,7 +230,7 @@ int run(int argc, char** argv) {
 
   std::signal(SIGINT, handle_stop_signal);
   std::signal(SIGTERM, handle_stop_signal);
-  while (!g_signal.load() && !server.shutdown_requested()) {
+  while (!g_signal.load() && !shutdown_requested.load()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
 
@@ -227,7 +238,7 @@ int run(int argc, char** argv) {
   std::printf("draining — no new submissions%s\n",
               drain ? ", letting jobs finish" : ", cancelling jobs");
   std::fflush(stdout);
-  server.stop();  // transport first: no requests race the drain below
+  jobs.stop();  // transport first: no requests race the drain below
   manager.shutdown(drain ? absq::serve::JobManager::Drain::kWait
                          : absq::serve::JobManager::Drain::kCancel);
 
@@ -245,7 +256,7 @@ int run(int argc, char** argv) {
     meta.set("type", "meta").set("tool", "absq_serve");
     meta.set("solvers", solvers).set("max_queue", max_queue);
     meta.set("connections",
-             static_cast<std::int64_t>(server.connections_accepted()));
+             static_cast<std::int64_t>(jobs.connections_accepted()));
     out << meta.dump() << '\n';
     for (const auto& status : manager.list()) {
       absq::serve::Json line = absq::serve::job_to_json(status);

@@ -39,7 +39,7 @@
 #include "abs/solver.hpp"
 #include "ga/pool_io.hpp"
 #include "portfolio/block_algorithm.hpp"
-#include "obs/http_exporter.hpp"
+#include "obs/listener.hpp"
 #include "obs/log.hpp"
 #include "abs/report.hpp"
 #include "problems/graph.hpp"
@@ -260,13 +260,13 @@ int run(int argc, char** argv) {
     tracer = std::make_unique<absq::obs::EventTracer>();
     config.telemetry.tracer = tracer.get();
   }
-  std::unique_ptr<absq::obs::HttpExporter> http;
+  std::unique_ptr<absq::obs::Listener> http;
   if (http_port >= 0) {
-    absq::obs::HttpExporterConfig http_config;
+    absq::obs::ListenerConfig http_config;
     http_config.port = static_cast<int>(http_port);
     http_config.metrics = registry.get();
     http_config.tracer = tracer.get();
-    http = std::make_unique<absq::obs::HttpExporter>(std::move(http_config));
+    http = std::make_unique<absq::obs::Listener>(std::move(http_config));
     http->start();
     std::printf("http on 127.0.0.1:%d\n", http->port());
     std::fflush(stdout);
