@@ -35,8 +35,12 @@ SANITIZE_TARGETS=(test_metrics test_log test_trace test_mailbox test_device
                   test_journal test_job_manager test_job_server
                   test_listener)
 # The ASan+UBSan tier adds the flip-kernel suites: UBSan guards the int32
-# Δ repair (uint32 wraparound at i == k) on the default hot path.
-ASAN_TARGETS=("${SANITIZE_TARGETS[@]}" test_kernels test_delta_state)
+# Δ repair (uint32 wraparound at i == k) on the default hot path; the
+# straight search's masked argmin does unaligned vector loads with
+# partial-mask tails; read_qubo writes parsed entries straight into the
+# matrix.
+ASAN_TARGETS=("${SANITIZE_TARGETS[@]}" test_kernels test_delta_state
+              test_straight test_io)
 # The chaos harness (SIGKILL + --recover) also runs under both sanitizers,
 # against sanitized builds of the tools it drives.
 CHAOS_TOOLS=(absq_gen absq_serve absq_client)

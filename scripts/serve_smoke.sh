@@ -133,7 +133,9 @@ grep -q "cancelled" "$WORK/victim2.out" || fail "victim is not cancelled"
 
 # --- backpressure beyond --max-queue ----------------------------------------
 # Two long blockers occupy both slots; 8 more fill the queue to its bound;
-# the 9th must be rejected with the typed queue_full error.
+# the 9th must be rejected with the typed queue_full error. queue_full
+# means nothing was admitted, so the client retries it (ClientConfig's
+# default max_retries = 4) before reporting the rejection: 5 attempts.
 BLOCK_IDS=()
 for i in 1 2; do
   "$CLIENT" submit "$WORK/i.qubo" --port "$PORT" --seconds 60 \
@@ -183,10 +185,11 @@ SERVER_PID=""
 grep -q "clean shutdown" "$WORK/serve.log" \
   || fail "server log lacks the clean-shutdown line"
 
-# Telemetry written at shutdown: 19 submissions, 1 typed rejection.
+# Telemetry written at shutdown: 19 submissions, 5 typed rejections (the
+# overflow submit and its 4 retries).
 grep -q "absq_jobs_submitted 19" "$WORK/serve.prom" \
   || fail "metrics file lacks the submitted count"
-grep -q "absq_jobs_rejected 1" "$WORK/serve.prom" \
+grep -q "absq_jobs_rejected 5" "$WORK/serve.prom" \
   || fail "metrics file lacks the rejected count"
 # The durability series exist and report a quiet life: this run never
 # crashed, so nothing was recovered and — crucially — nothing was lost.

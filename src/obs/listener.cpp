@@ -21,8 +21,8 @@
 namespace absq::obs {
 namespace {
 
-/// Poll granularity: how often the loop re-checks the stop flag and the
-/// idle-timeout sweep runs.
+/// Poll granularity: how often the idle-timeout sweep runs. stop() does
+/// not wait for it: it wakes the loop through the self-pipe.
 constexpr int kPollMs = 50;
 
 /// Bytes one recv(2) may add to an inbox per poll round.
@@ -160,8 +160,17 @@ void Listener::start() {
              "getsockname(): " << std::strerror(errno));
   port_ = static_cast<int>(ntohs(bound.sin_port));
 
+  int wake[2] = {-1, -1};
+  if (::pipe(wake) != 0) {
+    const std::string reason = std::strerror(errno);
+    close_quietly(fd);
+    ABSQ_CHECK(false, "pipe(): " << reason);
+  }
   set_nonblocking(fd);
+  set_nonblocking(wake[1]);
   listen_fd_ = fd;
+  wake_read_fd_ = wake[0];
+  wake_write_fd_ = wake[1];
   started_monotonic_ = monotonic_seconds();
   stopping_.store(false, std::memory_order_release);
   thread_ = std::thread([this] { loop(); });
@@ -177,7 +186,16 @@ void Listener::stop() {
     if (thread_.joinable()) thread_.join();
     return;
   }
+  if (wake_write_fd_ >= 0) {
+    // One byte makes the loop's poll() return now instead of at its
+    // timeout; the loop then sees stopping_ and exits. A full pipe
+    // (EAGAIN) already holds a wake-up.
+    const char byte = 0;
+    (void)!::write(wake_write_fd_, &byte, 1);
+  }
   if (thread_.joinable()) thread_.join();
+  close_connection(wake_read_fd_);
+  close_connection(wake_write_fd_);
   close_quietly(listen_fd_);
   listen_fd_ = -1;
   for (Connection& connection : connections_) {
@@ -488,6 +506,7 @@ void Listener::loop() {
   while (!stopping_.load(std::memory_order_acquire)) {
     waiters.clear();
     waiters.push_back({listen_fd_, POLLIN, 0});
+    waiters.push_back({wake_read_fd_, POLLIN, 0});
     for (const Connection& connection : connections_) {
       // A connection with unsent replies is not read from: a peer that
       // does not read its replies cannot make the outbox grow.
@@ -504,10 +523,10 @@ void Listener::loop() {
       break;
     }
     const double now = monotonic_seconds();
-    // `waiters[i + 1]` pairs with `connections_[i]`.
+    // `waiters[i + 2]` pairs with `connections_[i]`.
     for (std::size_t i = 0; i < connections_.size(); ++i) {
       Connection& connection = connections_[i];
-      const short revents = waiters[i + 1].revents;
+      const short revents = waiters[i + 2].revents;
       if ((revents & (POLLERR | POLLHUP | POLLNVAL)) != 0 &&
           (revents & POLLIN) == 0) {
         close_connection(connection.fd);

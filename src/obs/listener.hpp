@@ -154,6 +154,9 @@ class Listener {
 
   ListenerConfig config_;
   int listen_fd_ = -1;
+  // Self-pipe: stop() writes a byte so the loop's poll() returns at once.
+  int wake_read_fd_ = -1;
+  int wake_write_fd_ = -1;
   int port_ = 0;
   std::thread thread_;
   std::atomic<bool> stopping_{false};

@@ -3,6 +3,10 @@
 #include <bit>
 #include <limits>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 #include "qubo/energy.hpp"
 #include "util/check.hpp"
 
@@ -107,6 +111,29 @@ std::size_t leftmost_min_portable(const D* head, std::size_t head_len,
   return leftmost_min_pass(head, head_len, tail, tail_len);
 }
 
+// DenseSimdPasses::masked_min, portable: the scalar word walk — 64
+// candidates per word via countr_zero, strict < so the first-seen
+// (leftmost) minimum wins. Also the pass of the sparse and dense-scalar
+// forms.
+template <class D>
+std::size_t masked_min_portable(const D* values, const std::uint64_t* mask,
+                                std::size_t n) {
+  std::size_t best = n;
+  D best_value = 0;
+  const std::size_t words = (n + 63) / 64;
+  for (std::size_t wi = 0; wi < words; ++wi) {
+    for (std::uint64_t word = mask[wi]; word != 0; word &= word - 1) {
+      const std::size_t i =
+          wi * 64 + static_cast<std::size_t>(std::countr_zero(word));
+      if (best == n || values[i] < best_value) {
+        best = i;
+        best_value = values[i];
+      }
+    }
+  }
+  return best;
+}
+
 #if defined(__x86_64__)
 template <class D>
 [[gnu::target("avx2")]] void repair_avx2(D* deltas, const Weight* row,
@@ -132,18 +159,237 @@ template <class D>
     const D* head, std::size_t head_len, const D* tail, std::size_t tail_len) {
   return leftmost_min_pass(head, head_len, tail, tail_len);
 }
+
+// The vector masked_min variants share one shape: slice each mask word
+// into vector-width lane masks (a slice covers kLanes consecutive values),
+// take the masked minimum over every slice, then return the first lane of
+// the first slice whose masked compare-equal hits. Only slices holding a
+// value < n are formed (the last word may be partial), and the loads are
+// masked, so no lane past n is read. Words with no set bit are skipped.
+// mask_slices() is the number of such slices of word wi.
+template <std::size_t kLanes>
+[[gnu::always_inline]] inline std::size_t mask_slices(std::size_t n,
+                                                      std::size_t wi) {
+  const std::size_t lanes = n - wi * 64 < 64 ? n - wi * 64 : 64;
+  return (lanes + kLanes - 1) / kLanes;
+}
+
+// The horizontal minimum of an accumulator stored to memory (GCC 12's
+// _mm512_reduce_min_* intrinsics trip -Wmaybe-uninitialized).
+template <class D, std::size_t kLanes>
+[[gnu::always_inline]] inline D min_lane(const D* lanes) {
+  D best = lanes[0];
+  for (std::size_t i = 1; i < kLanes; ++i) {
+    best = lanes[i] < best ? lanes[i] : best;
+  }
+  return best;
+}
+
+// Lane operations of masked_min_avx2: a slice is 8 int32 or 4 int64 lanes,
+// selected by broadcasting the slice's mask bits, AND-ing them with the
+// lane's own bit and comparing (AVX2 has no mask registers).
+template <class D>
+struct Avx2Lanes;
+
+template <>
+struct Avx2Lanes<std::int32_t> {
+  static constexpr std::size_t kLanes = 8;
+  [[gnu::target("avx2"), gnu::always_inline]] static __m256i select(
+      std::uint64_t bits) {
+    const __m256i lane_bits = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+    const __m256i slice = _mm256_set1_epi32(static_cast<int>(bits & 0xFF));
+    return _mm256_cmpeq_epi32(_mm256_and_si256(slice, lane_bits), lane_bits);
+  }
+  [[gnu::target("avx2"), gnu::always_inline]] static __m256i load(
+      __m256i sel, const std::int32_t* at) {
+    return _mm256_maskload_epi32(at, sel);
+  }
+  [[gnu::target("avx2"), gnu::always_inline]] static __m256i splat(
+      std::int32_t value) {
+    return _mm256_set1_epi32(value);
+  }
+  [[gnu::target("avx2"), gnu::always_inline]] static __m256i min(__m256i a,
+                                                                 __m256i b) {
+    return _mm256_min_epi32(a, b);
+  }
+  [[gnu::target("avx2"), gnu::always_inline]] static unsigned hits(
+      __m256i values, __m256i target, __m256i sel) {
+    const __m256i eq =
+        _mm256_and_si256(_mm256_cmpeq_epi32(values, target), sel);
+    return static_cast<unsigned>(_mm256_movemask_ps(_mm256_castsi256_ps(eq)));
+  }
+};
+
+template <>
+struct Avx2Lanes<std::int64_t> {
+  static constexpr std::size_t kLanes = 4;
+  [[gnu::target("avx2"), gnu::always_inline]] static __m256i select(
+      std::uint64_t bits) {
+    const __m256i lane_bits = _mm256_setr_epi64x(1, 2, 4, 8);
+    const __m256i slice =
+        _mm256_set1_epi64x(static_cast<long long>(bits & 0xF));
+    return _mm256_cmpeq_epi64(_mm256_and_si256(slice, lane_bits), lane_bits);
+  }
+  [[gnu::target("avx2"), gnu::always_inline]] static __m256i load(
+      __m256i sel, const std::int64_t* at) {
+    return _mm256_maskload_epi64(reinterpret_cast<const long long*>(at), sel);
+  }
+  [[gnu::target("avx2"), gnu::always_inline]] static __m256i splat(
+      std::int64_t value) {
+    return _mm256_set1_epi64x(value);
+  }
+  [[gnu::target("avx2"), gnu::always_inline]] static __m256i min(__m256i a,
+                                                                 __m256i b) {
+    return _mm256_blendv_epi8(a, b, _mm256_cmpgt_epi64(a, b));
+  }
+  [[gnu::target("avx2"), gnu::always_inline]] static unsigned hits(
+      __m256i values, __m256i target, __m256i sel) {
+    const __m256i eq =
+        _mm256_and_si256(_mm256_cmpeq_epi64(values, target), sel);
+    return static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(eq)));
+  }
+};
+
+template <class D>
+[[gnu::target("avx2")]] std::size_t masked_min_avx2(const D* values,
+                                                    const std::uint64_t* mask,
+                                                    std::size_t n) {
+  using L = Avx2Lanes<D>;
+  constexpr std::size_t kLanes = L::kLanes;
+  const std::size_t words = (n + 63) / 64;
+  // Unselected lanes load as 0; blending them to the maximum keeps them
+  // out of the minimum.
+  const __m256i top = L::splat(std::numeric_limits<D>::max());
+  __m256i acc = top;
+  bool any = false;
+  for (std::size_t wi = 0; wi < words; ++wi) {
+    const std::uint64_t word = mask[wi];
+    if (word == 0) continue;
+    any = true;
+    const std::size_t slices = mask_slices<kLanes>(n, wi);
+    for (std::size_t s = 0; s < slices; ++s) {
+      const __m256i sel = L::select(word >> (s * kLanes));
+      const __m256i v = L::load(sel, values + wi * 64 + s * kLanes);
+      acc = L::min(acc, _mm256_blendv_epi8(top, v, sel));
+    }
+  }
+  if (!any) return n;
+  alignas(32) D lanes[kLanes];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
+  const __m256i target = L::splat(min_lane<D, kLanes>(lanes));
+  for (std::size_t wi = 0; wi < words; ++wi) {
+    const std::uint64_t word = mask[wi];
+    if (word == 0) continue;
+    const std::size_t slices = mask_slices<kLanes>(n, wi);
+    for (std::size_t s = 0; s < slices; ++s) {
+      const __m256i sel = L::select(word >> (s * kLanes));
+      const std::size_t at = wi * 64 + s * kLanes;
+      const unsigned hit = L::hits(L::load(sel, values + at), target, sel);
+      if (hit != 0) return at + static_cast<std::size_t>(std::countr_zero(hit));
+    }
+  }
+  return n;  // unreachable: the minimum came from a selected lane
+}
+
+// Lane operations of masked_min_v4: the mask word's bits are AVX-512 lane
+// masks as they stand — a slice of 16 (int32) or 8 (int64) bits, cut off
+// by a shift, masks both the load and the min/compare.
+template <class D>
+struct V4Lanes;
+
+template <>
+struct V4Lanes<std::int32_t> {
+  using Mask = __mmask16;
+  static constexpr std::size_t kLanes = 16;
+  [[gnu::target("arch=x86-64-v4"), gnu::always_inline]] static __m512i load(
+      Mask m, const std::int32_t* at) {
+    return _mm512_maskz_loadu_epi32(m, at);
+  }
+  [[gnu::target("arch=x86-64-v4"), gnu::always_inline]] static __m512i splat(
+      std::int32_t value) {
+    return _mm512_set1_epi32(value);
+  }
+  [[gnu::target("arch=x86-64-v4"), gnu::always_inline]] static __m512i min(
+      __m512i acc, Mask m, __m512i v) {
+    return _mm512_mask_min_epi32(acc, m, acc, v);
+  }
+  [[gnu::target("arch=x86-64-v4"), gnu::always_inline]] static Mask equal(
+      Mask m, __m512i v, __m512i target) {
+    return _mm512_mask_cmpeq_epi32_mask(m, v, target);
+  }
+};
+
+template <>
+struct V4Lanes<std::int64_t> {
+  using Mask = __mmask8;
+  static constexpr std::size_t kLanes = 8;
+  [[gnu::target("arch=x86-64-v4"), gnu::always_inline]] static __m512i load(
+      Mask m, const std::int64_t* at) {
+    return _mm512_maskz_loadu_epi64(m, at);
+  }
+  [[gnu::target("arch=x86-64-v4"), gnu::always_inline]] static __m512i splat(
+      std::int64_t value) {
+    return _mm512_set1_epi64(value);
+  }
+  [[gnu::target("arch=x86-64-v4"), gnu::always_inline]] static __m512i min(
+      __m512i acc, Mask m, __m512i v) {
+    return _mm512_mask_min_epi64(acc, m, acc, v);
+  }
+  [[gnu::target("arch=x86-64-v4"), gnu::always_inline]] static Mask equal(
+      Mask m, __m512i v, __m512i target) {
+    return _mm512_mask_cmpeq_epi64_mask(m, v, target);
+  }
+};
+
+template <class D>
+[[gnu::target("arch=x86-64-v4")]] std::size_t masked_min_v4(
+    const D* values, const std::uint64_t* mask, std::size_t n) {
+  using L = V4Lanes<D>;
+  using Mask = typename L::Mask;
+  constexpr std::size_t kLanes = L::kLanes;
+  const std::size_t words = (n + 63) / 64;
+  __m512i acc = L::splat(std::numeric_limits<D>::max());
+  bool any = false;
+  for (std::size_t wi = 0; wi < words; ++wi) {
+    const std::uint64_t word = mask[wi];
+    if (word == 0) continue;
+    any = true;
+    const std::size_t slices = mask_slices<kLanes>(n, wi);
+    for (std::size_t s = 0; s < slices; ++s) {
+      const auto m = static_cast<Mask>(word >> (s * kLanes));
+      acc = L::min(acc, m, L::load(m, values + wi * 64 + s * kLanes));
+    }
+  }
+  if (!any) return n;
+  alignas(64) D lanes[kLanes];
+  _mm512_store_si512(lanes, acc);
+  const __m512i target = L::splat(min_lane<D, kLanes>(lanes));
+  for (std::size_t wi = 0; wi < words; ++wi) {
+    const std::uint64_t word = mask[wi];
+    if (word == 0) continue;
+    const std::size_t slices = mask_slices<kLanes>(n, wi);
+    for (std::size_t s = 0; s < slices; ++s) {
+      const auto m = static_cast<Mask>(word >> (s * kLanes));
+      const std::size_t at = wi * 64 + s * kLanes;
+      const Mask hit = L::equal(m, L::load(m, values + at), target);
+      if (hit != 0) return at + static_cast<std::size_t>(std::countr_zero(hit));
+    }
+  }
+  return n;  // unreachable: the minimum came from a selected lane
+}
 #endif
 
 }  // namespace
 
 template <class D>
 const DenseSimdPasses<D>& dense_simd_passes(KernelIsa isa) {
-  static constexpr DenseSimdPasses<D> kPortable{&repair_portable<D>,
-                                                &leftmost_min_portable<D>};
+  static constexpr DenseSimdPasses<D> kPortable{
+      &repair_portable<D>, &leftmost_min_portable<D>, &masked_min_portable<D>};
 #if defined(__x86_64__)
-  static constexpr DenseSimdPasses<D> kAvx2{&repair_avx2<D>,
-                                            &leftmost_min_avx2<D>};
-  static constexpr DenseSimdPasses<D> kV4{&repair_v4<D>, &leftmost_min_v4<D>};
+  static constexpr DenseSimdPasses<D> kAvx2{
+      &repair_avx2<D>, &leftmost_min_avx2<D>, &masked_min_avx2<D>};
+  static constexpr DenseSimdPasses<D> kV4{&repair_v4<D>, &leftmost_min_v4<D>,
+                                          &masked_min_v4<D>};
   switch (isa) {
     case KernelIsa::kPortable:
       return kPortable;
@@ -536,6 +782,23 @@ BitIndex DeltaState::argmin_window(BitIndex offset, BitIndex len) const {
   return width_ == DeltaWidth::kWide64
              ? argmin_span(deltas_.data(), offset, len)
              : argmin_span(deltas32_.data(), offset, len);
+}
+
+BitIndex DeltaState::argmin_masked(std::span<const std::uint64_t> mask) const {
+  const BitIndex n = size();
+  ABSQ_DCHECK(mask.size() == (std::size_t{n} + 63) / 64,
+              "mask word count does not match the state size");
+  // Every form stores the Δ array, so the sparse and dense-scalar forms
+  // run the portable word walk over it.
+  const KernelIsa isa =
+      form_ == KernelForm::kDenseSimd ? isa_ : KernelIsa::kPortable;
+  const std::size_t pos =
+      width_ == DeltaWidth::kWide64
+          ? dense_simd_passes<Energy>(isa).masked_min(deltas_.data(),
+                                                      mask.data(), n)
+          : dense_simd_passes<std::int32_t>(isa).masked_min(
+                deltas32_.data(), mask.data(), n);
+  return static_cast<BitIndex>(pos);
 }
 
 }  // namespace absq

@@ -27,10 +27,11 @@
 //
 // The class deliberately exposes the Δ vector read-only: every search
 // algorithm in this library (Algorithms 3–5, the ABS SearchBlock, the
-// baselines) makes its decisions by reading delta()/argmin_window() and
-// commits them exclusively through flip(), so the Eq. (16) invariant can
-// never be bypassed. The invariant itself is property-tested against the
-// Eq. (4) reference for thousands of random flip sequences.
+// baselines) makes its decisions by reading delta()/argmin_window()/
+// argmin_masked() and commits them exclusively through flip(), so the
+// Eq. (16) invariant can never be bypassed. The invariant itself is
+// property-tested against the Eq. (4) reference for thousands of random
+// flip sequences.
 #pragma once
 
 #include <cstddef>
@@ -45,7 +46,7 @@
 
 namespace absq {
 
-/// The two dense-simd passes of one Δ width, compiled for one KernelIsa.
+/// The three dense-simd passes of one Δ width, compiled for one KernelIsa.
 /// DeltaState calls them through dense_simd_passes(); they are exposed so
 /// tests can pin every variant against the scalar reference.
 template <class D>
@@ -61,6 +62,12 @@ struct DenseSimdPasses {
   /// ([0, k) ++ (k, n)) and the wrapping argmin_window.
   std::size_t (*leftmost_min)(const D* head, std::size_t head_len,
                               const D* tail, std::size_t tail_len);
+  /// Leftmost i < n with the minimum values[i] among the set bits of
+  /// `mask` (BitVector word layout: ⌈n/64⌉ words, bit i of word i/64, no
+  /// bit ≥ n set); n when the mask is empty. The straight-search step.
+  /// The portable entry is the scalar word walk (countr_zero per set bit).
+  std::size_t (*masked_min)(const D* values, const std::uint64_t* mask,
+                            std::size_t n);
 };
 
 /// The pass table of `isa`, for D = std::int32_t or std::int64_t. `isa`
@@ -118,6 +125,14 @@ class DeltaState {
   /// earliest minimum wins — the exact tie-break of the Fig. 2 window
   /// policy's linear scan). O(len) dense, O(log n) sparse. `len` ≤ n.
   [[nodiscard]] BitIndex argmin_window(BitIndex offset, BitIndex len) const;
+
+  /// Leftmost bit with minimum Δ among the set bits of `mask` (BitVector
+  /// word layout, ⌈n/64⌉ words, no bit ≥ n set); size() when the mask is
+  /// empty. The greedy step of the straight search (Algorithm 5): a
+  /// masked vector pass in the dense-simd form, the scalar word walk in
+  /// the others.
+  [[nodiscard]] BitIndex argmin_masked(
+      std::span<const std::uint64_t> mask) const;
 
   /// E(flip_i(X)) without changing state — Eq. (5).
   [[nodiscard]] Energy energy_after_flip(BitIndex i) const {

@@ -3,10 +3,8 @@
 #include <cctype>
 #include <charconv>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "util/check.hpp"
@@ -91,13 +89,14 @@ WeightMatrix read_qubo(std::istream& in) {
   }
   ABSQ_CHECK(have_header, "missing 'qubo <n>' header");
 
-  WeightMatrixBuilder builder(n);
-  // Duplicate check: while entries arrive in strictly increasing (i, j)
-  // order — as write_qubo emits them — none can repeat an earlier one, so
-  // they are only collected; the first out-of-order entry moves them into
-  // a set that checks every later entry.
-  std::vector<std::pair<BitIndex, BitIndex>> ascending;
-  std::set<std::pair<BitIndex, BitIndex>> seen;
+  // Entries are written straight into the dense matrix. A file entry is
+  // the symmetric W_ij itself, so no coefficient splitting or rescaling
+  // applies (a builder would receive 2·W_ij and halve it back).
+  WeightMatrix w(n);
+  // Duplicate check: one bit per upper-triangle position (i, j), i <= j,
+  // row by row — row i starts at bit i·n − i(i−1)/2.
+  const std::size_t positions = static_cast<std::size_t>(n) * (n + 1) / 2;
+  std::vector<std::uint64_t> seen((positions + 63) / 64, 0);
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty() || line[0] == '#') continue;
@@ -119,22 +118,17 @@ WeightMatrix read_qubo(std::istream& in) {
                "line " << line_no << ": weight " << v << " outside 16-bit");
     const auto bi = static_cast<BitIndex>(i);
     const auto bj = static_cast<BitIndex>(j);
-    const std::pair<BitIndex, BitIndex> entry{bi, bj};
-    bool fresh = true;
-    if (seen.empty() && (ascending.empty() || ascending.back() < entry)) {
-      ascending.push_back(entry);
-    } else {
-      seen.insert(ascending.begin(), ascending.end());
-      ascending.clear();
-      fresh = seen.insert(entry).second;
-    }
-    ABSQ_CHECK(fresh, "line " << line_no << ": duplicate entry (" << i
-                              << ", " << j << ")");
-    // A symmetric entry pair (W_ij, W_ji) contributes 2·W_ij to the pair
-    // coefficient of x_i·x_j; the builder splits it back evenly.
-    builder.add(bi, bj, bi == bj ? v : 2 * v);
+    const std::size_t slot =
+        static_cast<std::size_t>(bi) * (2 * std::size_t{n} - bi + 1) / 2 +
+        (bj - bi);
+    const std::uint64_t bit = std::uint64_t{1} << (slot % 64);
+    ABSQ_CHECK((seen[slot / 64] & bit) == 0,
+               "line " << line_no << ": duplicate entry (" << i << ", " << j
+                       << ")");
+    seen[slot / 64] |= bit;
+    w.set_symmetric(bi, bj, static_cast<Weight>(v));
   }
-  return builder.build();
+  return w;
 }
 
 WeightMatrix read_qubo_file(const std::string& path) {

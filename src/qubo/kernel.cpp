@@ -76,6 +76,46 @@ KernelOptions::Form parse_kernel_form(const std::string& name) {
   return KernelOptions::Form::kAuto;  // unreachable
 }
 
+namespace {
+
+struct MatrixScan {
+  std::size_t nonzeros = 0;
+  Energy delta_bound = 0;
+};
+
+// The plan's one O(n²) pass: per row, the nonzero count and the sums
+// behind B_k (see worst_case_delta_bound). Every solver construction plans
+// its kernel, so this pass is on the path of every solve; it is branch-free
+// and int32 so `#pragma omp simd` vectorizes it on the baseline ISA.
+// int32 cannot overflow: |row sum| ≤ 2^15 · kMaxBits = 2^30.
+MatrixScan scan_matrix(const WeightMatrix& w) {
+  MatrixScan scan;
+  const BitIndex n = w.size();
+  for (BitIndex k = 0; k < n; ++k) {
+    const Weight* row = w.row(k).data();
+    std::int32_t pos = 0;
+    std::int32_t neg = 0;
+    std::int32_t nonzero = 0;
+#pragma omp simd reduction(+ : pos, neg, nonzero)
+    for (BitIndex i = 0; i < n; ++i) {
+      const std::int32_t v = row[i];
+      pos += v > 0 ? v : 0;
+      neg += v < 0 ? -v : 0;
+      nonzero += v != 0 ? 1 : 0;
+    }
+    // The sums ran over i == k too; take the diagonal back out.
+    const Energy diag = row[k];
+    const Energy pos_k = pos - (diag > 0 ? diag : 0);
+    const Energy neg_k = neg - (diag < 0 ? -diag : 0);
+    scan.nonzeros += static_cast<std::size_t>(nonzero);
+    scan.delta_bound =
+        std::max({scan.delta_bound, diag + 2 * pos_k, 2 * neg_k - diag});
+  }
+  return scan;
+}
+
+}  // namespace
+
 Energy QuboKernel::worst_case_delta_bound(const WeightMatrix& w) {
   // Eq. (4): Δ_k(X) = φ(x_k)(2 Σ_{i≠k} W_ki x_i + W_kk). Over all X the
   // inner sum ranges over subset sums of row k, so with P_k = Σ_{i≠k}
@@ -87,24 +127,7 @@ Energy QuboKernel::worst_case_delta_bound(const WeightMatrix& w) {
   // positive / the negative entries), and every Δ the repair loop ever
   // stores is the Δ of some reachable state, so max_k B_k bounds the whole
   // run. Tightness is pinned by enumeration tests on small instances.
-  Energy bound = 0;
-  const BitIndex n = w.size();
-  for (BitIndex k = 0; k < n; ++k) {
-    const auto row = w.row(k);
-    Energy pos = 0;
-    Energy neg = 0;
-    for (BitIndex i = 0; i < n; ++i) {
-      if (i == k) continue;
-      if (row[i] > 0) {
-        pos += row[i];
-      } else {
-        neg -= row[i];
-      }
-    }
-    const Energy diag = w.at(k, k);
-    bound = std::max({bound, diag + 2 * pos, 2 * neg - diag});
-  }
-  return bound;
+  return scan_matrix(w).delta_bound;
 }
 
 QuboKernel::QuboKernel(const WeightMatrix& w, const KernelOptions& options)
@@ -112,15 +135,9 @@ QuboKernel::QuboKernel(const WeightMatrix& w, const KernelOptions& options)
   static const KernelIsa kHostIsa = runnable_isas().back();
   isa_ = kHostIsa;
   const BitIndex n = w.size();
-  // One O(n²) analysis pass; instances are planned once and searched for
-  // billions of flips, so this never shows up in a profile.
-  for (BitIndex k = 0; k < n; ++k) {
-    const auto row = w.row(k);
-    for (BitIndex i = 0; i < n; ++i) {
-      if (row[i] != 0) ++nonzeros_;
-    }
-  }
-  delta_bound_ = worst_case_delta_bound(w);
+  const MatrixScan scan = scan_matrix(w);
+  nonzeros_ = scan.nonzeros;
+  delta_bound_ = scan.delta_bound;
 
   if (options.narrow_delta) {
     const Energy limit =

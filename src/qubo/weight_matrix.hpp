@@ -16,10 +16,13 @@
 //   * WeightMatrix::generate_symmetric — direct dense fill from a callable;
 //     used by the synthetic random workload whose n² nonzeros would make
 //     sparse accumulation pointless.
+//   * read_qubo (qubo/io.hpp) — writes each parsed, range-checked entry
+//     straight into the matrix: a file holds final weights, not terms.
 #pragma once
 
 #include <concepts>
 #include <cstddef>
+#include <iosfwd>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -82,6 +85,7 @@ class WeightMatrix {
 
  private:
   friend class WeightMatrixBuilder;
+  friend WeightMatrix read_qubo(std::istream& in);
 
   void set_symmetric(BitIndex i, BitIndex j, Weight w) {
     data_[static_cast<std::size_t>(i) * n_ + j] = w;

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "util/check.hpp"
@@ -15,9 +14,8 @@ SearchStats straight_search(DeltaState& state, const BitVector& target,
   SearchStats stats;
 
   // Word-wide XOR difference mask: bit b is set iff state and target still
-  // differ at b. Replaces the per-bit differing_bits() materialization —
-  // the traversal scans 64 candidates per word via countr_zero, and a flip
-  // clears exactly one bit, so no vector shuffling per step.
+  // differ at b. It is the lane mask of the masked argmin, and a flip
+  // clears exactly one bit of it.
   const std::span<const std::uint64_t> sw = state.bits().words();
   const std::span<const std::uint64_t> tw = target.words();
   std::vector<std::uint64_t> diff(sw.size());
@@ -28,23 +26,9 @@ SearchStats straight_search(DeltaState& state, const BitVector& target,
   }
 
   while (remaining > 0) {
-    // Greedy rule of Algorithm 5: minimum Δ_k among differing bits,
-    // ascending-index traversal (first-seen minimum wins ties).
-    Energy best_delta = std::numeric_limits<Energy>::max();
-    BitIndex k = 0;
-    for (std::size_t wi = 0; wi < diff.size(); ++wi) {
-      std::uint64_t word = diff[wi];
-      while (word != 0) {
-        const BitIndex b = static_cast<BitIndex>(
-            wi * 64 + static_cast<std::size_t>(std::countr_zero(word)));
-        word &= word - 1;
-        const Energy d = state.delta(b);
-        if (d < best_delta) {
-          best_delta = d;
-          k = b;
-        }
-      }
-    }
+    // Greedy rule of Algorithm 5: minimum Δ_k among differing bits, the
+    // leftmost one on ties.
+    const BitIndex k = state.argmin_masked(diff);
 
     const std::uint64_t reads_before = state.matrix_reads();
     const auto outcome = state.flip_tracked(k);

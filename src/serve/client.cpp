@@ -192,14 +192,18 @@ Json Client::request_retry(const Json& request, bool idempotent) {
     backoff = std::min(backoff * 2.0, config_.backoff_max_seconds);
   };
   for (std::size_t attempt = 0;; ++attempt) {
-    const bool last = !idempotent || attempt >= config_.max_retries;
+    const bool out_of_retries = attempt >= config_.max_retries;
+    const bool last = !idempotent || out_of_retries;
     try {
       Json reply = this->request(request);
-      // Backpressure is retryable by construction — a queue_full reply
-      // means nothing was admitted.
-      if (!last && !reply.get_bool("ok", false) &&
+      // Backpressure is retryable by construction, idempotent or not — a
+      // queue_full reply means nothing was admitted. The job port sends
+      // it also when turning a connection away at its bound and then
+      // closes, so the retry goes out on a fresh connection.
+      if (!out_of_retries && !reply.get_bool("ok", false) &&
           reply.get_string("code", "") == "queue_full") {
         sleep_with_jitter();
+        reconnect();
         continue;
       }
       return reply;

@@ -41,9 +41,9 @@ struct ClientConfig {
   double connect_timeout_seconds = 10.0;
   /// Bound on waiting for a reply line; TimeoutError past it.
   double read_timeout_seconds = 60.0;
-  /// Automatic retry attempts (beyond the first try) for idempotent
-  /// requests that hit a timeout, a dropped connection, or queue_full
-  /// backpressure. 0 disables auto-retry.
+  /// Automatic retry attempts (beyond the first try) for requests turned
+  /// away with queue_full backpressure, and for idempotent requests that
+  /// hit a timeout or a dropped connection. 0 disables auto-retry.
   std::size_t max_retries = 4;
   /// First backoff sleep; doubles per attempt up to the cap, with a
   /// uniform jitter in [0.5, 1.0) of the nominal value so a fleet of
@@ -73,10 +73,11 @@ class Client {
   /// replies — use expect_ok / the typed wrappers.
   Json request(const Json& request);
 
-  /// request() with the retry policy applied: when `idempotent`, a
-  /// timeout / dropped connection / queue_full reply is retried up to
-  /// max_retries times with jittered exponential backoff, reconnecting
-  /// first. Non-idempotent requests behave exactly like request().
+  /// request() with the retry policy applied: a queue_full reply (nothing
+  /// was admitted) is retried for every request, and when `idempotent` a
+  /// timeout or dropped connection is too — up to max_retries times with
+  /// jittered exponential backoff, reconnecting first. A non-idempotent
+  /// request is not repeated after an ambiguous failure.
   Json request_retry(const Json& request, bool idempotent);
 
   /// request_retry() + throw the typed exception matching the error code

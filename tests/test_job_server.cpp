@@ -454,6 +454,40 @@ TEST(JobServer, ConnectionsBeyondBoundGetQueueFull) {
   EXPECT_TRUE(client.ping());
 }
 
+TEST(JobServer, SubmitTurnedAwayAtTheBoundGetsThroughOnceASlotFrees) {
+  // queue_full means nothing was admitted, so the client retries it — on
+  // a fresh connection, since the turned-away one is closed — for a keyed
+  // and an unkeyed submit alike.
+  ClientConfig retrying;
+  retrying.max_retries = 100;
+  retrying.backoff_initial_seconds = 0.01;
+  retrying.backoff_max_seconds = 0.02;
+  for (const bool keyed : {false, true}) {
+    SCOPED_TRACE(keyed ? "keyed" : "unkeyed");
+    Fixture fixture;
+    const std::size_t bound = obs::ListenerConfig{}.max_connections;
+    std::vector<std::unique_ptr<RawConnection>> held;
+    for (std::size_t i = 0; i < bound; ++i) {
+      held.push_back(std::make_unique<RawConnection>(fixture.server.port()));
+      held.back()->send_text("{\"cmd\":\"ping\"}\n");
+      ASSERT_TRUE(
+          Json::parse(held.back()->read_line()).get_bool("pong", false));
+    }
+    const std::uint64_t accepted = fixture.server.connections_accepted();
+    std::thread release([&held] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(150));
+      held.pop_back();
+    });
+    Json request = submit_request();
+    if (keyed) request.set("idempotency_key", "bound-retry");
+    Client client("127.0.0.1", fixture.server.port(), retrying);
+    EXPECT_NO_THROW((void)client.submit(std::move(request)));
+    release.join();
+    // Turned away at least once before the connection that got in.
+    EXPECT_GE(fixture.server.connections_accepted(), accepted + 2);
+  }
+}
+
 std::size_t thread_count() {
   std::size_t count = 0;
   for ([[maybe_unused]] const auto& entry :

@@ -251,6 +251,56 @@ TEST(QuboKernel, WorstCaseDeltaBoundIsExactOnSmallInstances) {
   }
 }
 
+/// The plan's analysis as a plain 64-bit scan: nonzero count and max_k B_k.
+std::pair<std::size_t, Energy> plan_reference(const WeightMatrix& w) {
+  const BitIndex n = w.size();
+  std::size_t nonzeros = 0;
+  Energy bound = 0;
+  for (BitIndex k = 0; k < n; ++k) {
+    Energy pos = 0;
+    Energy neg = 0;
+    for (BitIndex i = 0; i < n; ++i) {
+      const Energy v = w.at(k, i);
+      if (v != 0) ++nonzeros;
+      if (i == k) continue;
+      if (v > 0) {
+        pos += v;
+      } else {
+        neg -= v;
+      }
+    }
+    const Energy diag = w.at(k, k);
+    bound = std::max({bound, diag + 2 * pos, 2 * neg - diag});
+  }
+  return {nonzeros, bound};
+}
+
+TEST(QuboKernel, OnePassPlanMatchesA64BitScalarReference) {
+  std::vector<WeightMatrix> instances;
+  for (const BitIndex n : {1u, 2u, 17u, 100u, 333u}) {
+    instances.push_back(random_dense(n, 1400 + n));
+    instances.push_back(random_sparse(n, 0.05, 1500 + n));
+  }
+  Rng rng(1600);
+  instances.push_back(WeightMatrix::generate_symmetric(
+      64, [&rng](BitIndex, BitIndex) {
+        return static_cast<Weight>(rng.chance(0.5) ? kMinWeight : kMaxWeight);
+      }));
+  // Saturated rows at n = 4096: |row sum| = 2^27, inside the plan's int32
+  // accumulators (whose bound is 2^30 at kMaxBits) but far past int16.
+  for (const Weight v : {kMinWeight, kMaxWeight}) {
+    instances.push_back(WeightMatrix::generate_symmetric(
+        4096, [v](BitIndex, BitIndex) { return v; }));
+  }
+  for (const WeightMatrix& w : instances) {
+    const auto [nonzeros, bound] = plan_reference(w);
+    const QuboKernel kernel(w);
+    EXPECT_EQ(kernel.stored_nonzeros(), nonzeros) << "n=" << w.size();
+    EXPECT_EQ(kernel.delta_bound(), bound) << "n=" << w.size();
+    EXPECT_EQ(QuboKernel::worst_case_delta_bound(w), bound) << "n=" << w.size();
+  }
+}
+
 TEST(QuboKernel, NarrowPrecheckStraddlesTheLimit) {
   const WeightMatrix w = random_dense(48, 44);
   const Energy bound = QuboKernel::worst_case_delta_bound(w);
@@ -577,6 +627,127 @@ TEST(KernelLockstep, EveryIsaVariantMatchesTheScalarReference) {
             run_isa_lane<std::int32_t>(*w, start, isa, flips));
         ASSERT_NO_FATAL_FAILURE(
             run_isa_lane<std::int64_t>(*w, start, isa, flips));
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Masked argmin (the straight-search step): every ISA variant of the pass,
+// in both widths, and DeltaState::argmin_masked in every form, against a
+// plain left-to-right scan of the masked values.
+// ---------------------------------------------------------------------------
+
+/// Leftmost i with the minimum values[i] among the set bits of `mask`; n
+/// when the mask is empty.
+template <class V>
+std::size_t masked_min_oracle(const std::vector<V>& values,
+                              const std::vector<std::uint64_t>& mask) {
+  const std::size_t n = values.size();
+  std::size_t best = n;
+  for (std::size_t i = 0; i < n; ++i) {
+    if ((mask[i / 64] >> (i % 64) & 1) == 0) continue;
+    if (best == n || values[i] < values[best]) best = i;
+  }
+  return best;
+}
+
+/// The masks every lane is checked under: empty, every single bit on a
+/// lane or word edge, all bits, and random ones of several densities.
+std::vector<std::vector<std::uint64_t>> masks_for(std::size_t n, Rng& rng) {
+  const std::size_t words = (n + 63) / 64;
+  std::vector<std::vector<std::uint64_t>> masks;
+  const auto with_bits = [&](auto&& keep) {
+    std::vector<std::uint64_t> mask(words, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (keep(i)) mask[i / 64] |= std::uint64_t{1} << (i % 64);
+    }
+    masks.push_back(std::move(mask));
+  };
+  with_bits([](std::size_t) { return false; });
+  with_bits([](std::size_t) { return true; });
+  for (const std::size_t bit :
+       {std::size_t{0}, std::size_t{7}, std::size_t{8}, std::size_t{15},
+        std::size_t{16}, std::size_t{63}, std::size_t{64}, n / 2, n - 1}) {
+    if (bit < n) with_bits([bit](std::size_t i) { return i == bit; });
+  }
+  for (const double density : {0.02, 0.3, 0.9}) {
+    with_bits([&rng, density](std::size_t) { return rng.chance(density); });
+  }
+  with_bits([n](std::size_t i) { return i + 5 >= n; });  // the tail only
+  return masks;
+}
+
+template <class D>
+void run_masked_min_lane(const std::vector<D>& values, KernelIsa isa,
+                         const std::vector<std::vector<std::uint64_t>>& masks,
+                         const std::string& lane) {
+  const DenseSimdPasses<D>& passes = dense_simd_passes<D>(isa);
+  for (std::size_t m = 0; m < masks.size(); ++m) {
+    ASSERT_EQ(passes.masked_min(values.data(), masks[m].data(), values.size()),
+              masked_min_oracle(values, masks[m]))
+        << lane << " mask #" << m;
+  }
+}
+
+template <class D>
+void run_masked_min_values(std::size_t n, Rng& rng) {
+  constexpr D kMin = std::numeric_limits<D>::min();
+  constexpr D kMax = std::numeric_limits<D>::max();
+  std::vector<std::vector<D>> value_sets;
+  std::vector<D> wide(n);
+  std::vector<D> ties(n);    // constant ties across vector chunks
+  std::vector<D> flat(n);    // every value equal
+  std::vector<D> top(n);     // everything at the type's extremes
+  for (std::size_t i = 0; i < n; ++i) {
+    wide[i] = static_cast<D>(rng.range(-1000000, 1000000));
+    ties[i] = static_cast<D>(rng.range(-2, 2));
+    flat[i] = 7;
+    const D extremes[] = {kMin, static_cast<D>(kMin + 1), 0,
+                          static_cast<D>(kMax - 1), kMax};
+    top[i] = extremes[rng.below(5)];
+  }
+  std::vector<D> max_only(n, kMax);  // the empty-min sentinel is a value too
+  const std::vector<std::vector<std::uint64_t>> masks = masks_for(n, rng);
+  for (const KernelIsa isa : runnable_isas()) {
+    for (const std::vector<D>* values :
+         {&wide, &ties, &flat, &top, &max_only}) {
+      ASSERT_NO_FATAL_FAILURE(run_masked_min_lane(
+          *values, isa, masks,
+          std::string(to_string(isa)) + "/" + std::to_string(sizeof(D) * 8) +
+              "-bit n=" + std::to_string(n)));
+    }
+  }
+}
+
+TEST(KernelLockstep, MaskedArgminMatchesTheScalarWalkInEveryIsa) {
+  for (const std::size_t n : {1u, 15u, 17u, 63u, 64u, 65u, 1000u}) {
+    Rng rng(1100 + n);
+    ASSERT_NO_FATAL_FAILURE(run_masked_min_values<std::int32_t>(n, rng));
+    ASSERT_NO_FATAL_FAILURE(run_masked_min_values<std::int64_t>(n, rng));
+  }
+}
+
+TEST(KernelLockstep, ArgminMaskedAgreesInEveryForm) {
+  for (const BitIndex n : {1u, 15u, 17u, 63u, 65u, 1000u}) {
+    // Weights in [-2, 2] keep Δ values tied, so the leftmost rule decides.
+    Rng weights(1200 + n);
+    const WeightMatrix w =
+        WeightMatrix::generate_symmetric(n, [&weights](BitIndex, BitIndex) {
+          return static_cast<Weight>(weights.range(-2, 2));
+        });
+    Rng rng(1300 + n);
+    const BitVector start = BitVector::random(n, rng);
+    const std::vector<std::vector<std::uint64_t>> masks = masks_for(n, rng);
+    for (const auto& c : all_kernel_cases()) {
+      const QuboKernel kernel(w, c.options);
+      const DeltaState state(kernel, start);
+      std::vector<Energy> deltas(n);
+      for (BitIndex i = 0; i < n; ++i) deltas[i] = state.delta(i);
+      for (std::size_t m = 0; m < masks.size(); ++m) {
+        ASSERT_EQ(state.argmin_masked(masks[m]),
+                  masked_min_oracle(deltas, masks[m]))
+            << c.name << " n=" << n << " mask #" << m;
       }
     }
   }

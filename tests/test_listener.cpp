@@ -453,6 +453,21 @@ TEST(Listener, TrickledBytesDoNotResetTheIdleClock) {
   EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(2));
 }
 
+TEST(Listener, StopWakesAnIdleLoopAtOnce) {
+  // An idle loop sits in poll() with a 50 ms timeout; stop() wakes it
+  // instead of waiting that out, so 20 stops take far less than 20 polls.
+  std::chrono::steady_clock::duration stopping{};
+  for (int i = 0; i < 20; ++i) {
+    Listener listener(echo_lines());
+    listener.start();
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));  // in poll()
+    const auto begin = std::chrono::steady_clock::now();
+    listener.stop();
+    stopping += std::chrono::steady_clock::now() - begin;
+  }
+  EXPECT_LT(stopping, std::chrono::milliseconds(500));
+}
+
 TEST(TracerPrometheus, EmitsRecordedAndDroppedTotals) {
   EventTracer tracer(/*capacity=*/kMetricShards * 2);
   for (int i = 0; i < 64; ++i) tracer.instant("tick", "test", 0, 0);

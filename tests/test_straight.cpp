@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "qubo/energy.hpp"
+#include "qubo/kernel.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -129,6 +133,75 @@ TEST(StraightSearch, ChainedWalksStayConsistent) {
     const BitVector target = BitVector::random(33, rng);
     (void)straight_search(state, target, tracker);
     ASSERT_EQ(state.energy(), full_energy(w, state.bits())) << "leg " << leg;
+  }
+}
+
+/// Algorithm 5 written out on the dense scalar reference: flip the
+/// differing bit with the smallest Δ (the leftmost on ties) until none is
+/// left. Returns the tracker improvements, counted as straight_search does.
+std::uint64_t reference_walk(DeltaState& state, const BitVector& target,
+                             BestTracker& tracker) {
+  const BitIndex n = state.size();
+  std::uint64_t improvements = 0;
+  while (true) {
+    BitIndex k = n;
+    for (BitIndex i = 0; i < n; ++i) {
+      if (state.bits().get(i) == target.get(i)) continue;
+      if (k == n || state.delta(i) < state.delta(k)) k = i;
+    }
+    if (k == n) return improvements;
+    const auto outcome = state.flip_tracked(k);
+    if (tracker.offer(state.bits(), outcome.energy)) ++improvements;
+    if (tracker.offer_neighbor(state.bits(), outcome.best_neighbor_bit,
+                               outcome.best_neighbor_energy)) {
+      ++improvements;
+    }
+  }
+}
+
+TEST(StraightSearch, EveryKernelPlanWalksTheReferencePath) {
+  // The masked argmin runs per ISA in the dense-simd form and as a word
+  // walk elsewhere; every plan must pick the same bit at every step. The
+  // best solution seen along a walk depends on the flip order, so chained
+  // walks from one start pin it. Weights in [-2, 2] make Δ ties common.
+  for (const BitIndex n : {17u, 65u, 200u}) {
+    Rng weights(20 + n);
+    const WeightMatrix w =
+        WeightMatrix::generate_symmetric(n, [&weights](BitIndex, BitIndex) {
+          return static_cast<Weight>(weights.range(-2, 2));
+        });
+    Rng rng(30 + n);
+    const BitVector start = BitVector::random(n, rng);
+    std::vector<BitVector> targets;
+    for (int leg = 0; leg < 8; ++leg) {
+      targets.push_back(BitVector::random(n, rng));
+    }
+    for (const auto form :
+         {KernelOptions::Form::kDense, KernelOptions::Form::kDenseSimd,
+          KernelOptions::Form::kSparse}) {
+      for (const bool narrow : {false, true}) {
+        KernelOptions options;
+        options.form = form;
+        options.narrow_delta = narrow;
+        const QuboKernel kernel(w, options);
+        DeltaState reference(w, start);
+        DeltaState state(kernel, start);
+        for (std::size_t leg = 0; leg < targets.size(); ++leg) {
+          BestTracker expected;
+          BestTracker tracker;
+          const std::uint64_t improvements =
+              reference_walk(reference, targets[leg], expected);
+          const SearchStats stats =
+              straight_search(state, targets[leg], tracker);
+          const std::string lane = kernel.description() + " leg " +
+                                   std::to_string(leg);
+          ASSERT_EQ(stats.improvements, improvements) << lane;
+          ASSERT_EQ(tracker.energy(), expected.energy()) << lane;
+          ASSERT_EQ(tracker.best(), expected.best()) << lane;
+          ASSERT_EQ(state.energy(), reference.energy()) << lane;
+        }
+      }
+    }
   }
 }
 
